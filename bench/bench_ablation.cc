@@ -1,5 +1,5 @@
-// Ablation studies for the design choices DESIGN.md calls out. Not a
-// paper figure; complements the reproduction by quantifying:
+// Ablation studies for the library's own design choices. Not a paper
+// figure; complements the reproduction by quantifying:
 //
 //   A. Backbone construction: random vs Algorithm-1 spanning backbones,
 //      and the spanning-fraction / forest-count knobs of BGI.
@@ -145,11 +145,9 @@ void StratifiedAblation(const ugs::UncertainGraph& graph,
   const ugs::VertexPair pair = pairs[0];
 
   auto query = [&](const ugs::UncertainGraph& g) {
-    return [&g, pair](const std::vector<char>& present) {
+    return [&g, pair](const ugs::World& world) {
       ugs::UnionFind uf(g.num_vertices());
-      for (ugs::EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (present[e]) uf.Union(g.edge(e).u, g.edge(e).v);
-      }
+      ugs::ConnectWorld(g, world, &uf);
       return uf.Connected(pair.s, pair.t) ? 1.0 : 0.0;
     };
   };

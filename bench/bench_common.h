@@ -4,7 +4,7 @@
 // Shared dataset construction and reporting for the per-figure bench
 // binaries. Every binary prints the stand-in's measured Table-1-style
 // stats next to the paper's numbers so the dataset substitution
-// (DESIGN.md Section 4) stays auditable.
+// (documented in src/gen/datasets.h) stays auditable.
 
 #include <cstdio>
 #include <string>

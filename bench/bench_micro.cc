@@ -9,9 +9,10 @@
 #include <map>
 #include <utility>
 
+#include "gen/datasets.h"
 #include "gen/generators.h"
-#include "query/skip_sampler.h"
 #include "query/pagerank.h"
+#include "query/skip_sampler.h"
 #include "query/shortest_path.h"
 #include "query/world_sampler.h"
 #include "sparsify/backbone.h"
@@ -57,10 +58,9 @@ void BM_SampleWorld(benchmark::State& state) {
 BENCHMARK(BM_SampleWorld)->Arg(1000)->Arg(4000);
 
 void BM_SkipSampleWorld(benchmark::State& state) {
-  // Bucketed geometric-skip sampler on a low-probability graph. Draws
-  // ~4x fewer random numbers than BM_SampleWorld, but is NOT faster
-  // wall-clock with the cheap xoshiro RNG (see skip_sampler.h); this
-  // benchmark documents that tradeoff.
+  // Bucketed geometric-skip sampler on a low-probability graph: ~4x fewer
+  // random numbers than BM_SampleWorld, each geometric skip paying a
+  // log() (see skip_sampler.h for the per-world figures).
   ugs::Rng g_rng(99);
   ugs::ChungLuOptions options;
   options.num_vertices = static_cast<std::size_t>(state.range(0));
@@ -198,6 +198,73 @@ void BM_BfsWorld(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BfsWorld);
+
+// Rows on the default Twitter stand-in (|V| = 2000, |E| = 49,571,
+// E[p] = 0.156, ~7,900 edges present per world): the per-world layers a
+// skip-sampled reliability or shortest-path request pays.
+
+const ugs::UncertainGraph& TwitterStandIn() {
+  static const ugs::UncertainGraph* graph =
+      new ugs::UncertainGraph(ugs::MakeTwitterLike());
+  return *graph;
+}
+
+/// Skip-sampler table construction: paid once per GraphSession.
+void BM_TwitterSkipTables(benchmark::State& state) {
+  const ugs::UncertainGraph& g = TwitterStandIn();
+  for (auto _ : state) {
+    ugs::SkipWorldSampler sampler(g);
+    benchmark::DoNotOptimize(sampler.ExpectedDraws());
+  }
+}
+BENCHMARK(BM_TwitterSkipTables)->Unit(benchmark::kMicrosecond);
+
+/// One skip-sampled world, flags plus present-edge list.
+void BM_TwitterSkipWorld(benchmark::State& state) {
+  const ugs::UncertainGraph& g = TwitterStandIn();
+  const ugs::SkipWorldSampler sampler(g);
+  ugs::Rng rng(1);
+  ugs::World world;
+  for (auto _ : state) {
+    sampler.Sample(&rng, &world);
+    benchmark::DoNotOptimize(world.present_edges().data());
+  }
+}
+BENCHMARK(BM_TwitterSkipWorld)->Unit(benchmark::kMicrosecond);
+
+/// Present-list compaction alone: one branch-free scan of |E| flags.
+void BM_TwitterCompactWorld(benchmark::State& state) {
+  const ugs::UncertainGraph& g = TwitterStandIn();
+  ugs::Rng rng(1);
+  ugs::World world;
+  ugs::SampleWorld(g, &rng, &world);
+  for (auto _ : state) {
+    world.Compact();
+    benchmark::DoNotOptimize(world.present_edges().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_TwitterCompactWorld)->Unit(benchmark::kMicrosecond);
+
+/// The shortest-path kernel's per-world work for 20 sources: compact the
+/// world's adjacency once, then 20 BFS over it.
+void BM_TwitterCompactedBfs20(benchmark::State& state) {
+  const ugs::UncertainGraph& g = TwitterStandIn();
+  ugs::Rng rng(1);
+  ugs::World world;
+  ugs::SampleWorld(g, &rng, &world);
+  ugs::WorldAdjacency adjacency;
+  std::vector<int> dist;
+  for (auto _ : state) {
+    adjacency.Build(g, world);
+    for (ugs::VertexId source = 0; source < 20; ++source) {
+      ugs::BfsOnWorld(adjacency, source * 97, &dist);
+    }
+    benchmark::DoNotOptimize(dist.data());
+  }
+}
+BENCHMARK(BM_TwitterCompactedBfs20)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

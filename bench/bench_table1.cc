@@ -42,6 +42,6 @@ int main(int argc, char** argv) {
       "  Flickr     78322 V  10171509 E  E/V=129.89  E[p]=0.09 E[d]=22.93\n"
       "  Twitter    26362 V    663766 E  E/V= 25.17  E[p]=0.15 E[d]= 7.71\n"
       "  Synthetic   1000 V  77099/147565/269325/435336 E  E[p]=0.09\n"
-      "(* = synthetic stand-ins at laptop scale; see DESIGN.md Section 4)\n");
+      "(* = synthetic stand-ins at laptop scale; see src/gen/datasets.h)\n");
   return 0;
 }

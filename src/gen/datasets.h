@@ -13,9 +13,8 @@ namespace ugs {
 /// The real Flickr and Twitter uncertain graphs are not redistributable, so
 /// these generators reproduce the characteristics the sparsification
 /// algorithms are sensitive to -- degree skew, |E|/|V| ratio, and the
-/// edge-probability distribution -- at a laptop-friendly scale (see
-/// DESIGN.md Section 4 for the substitution rationale). `scale` multiplies
-/// the vertex count; scale = 1 gives the bench defaults below.
+/// edge-probability distribution -- at a laptop-friendly scale. `scale`
+/// multiplies the vertex count; scale = 1 gives the bench defaults below.
 ///
 /// Paper originals:
 ///   Flickr   78 322 V, 10 171 509 E, E/V = 129.9, E[p] = 0.09, E[d] = 22.9

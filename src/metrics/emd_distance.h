@@ -21,7 +21,7 @@ double EmpiricalEmd(std::vector<double> a, std::vector<double> b);
 
 /// Query-level D_em between Monte-Carlo runs of the same query on the
 /// original and sparsified graph: the per-unit EmpiricalEmd averaged over
-/// units (vertices for PR/CC, pairs for SP/RL; see DESIGN.md note 11).
+/// units (vertices for PR/CC, pairs for SP/RL).
 double MeanUnitEmd(const McSamples& original, const McSamples& sparsified);
 
 }  // namespace ugs

@@ -1,63 +1,66 @@
 #include "query/clustering.h"
 
-#include <algorithm>
+#include <memory>
 
 #include "util/check.h"
 
 namespace ugs {
+namespace {
 
-std::vector<double> LocalClusteringOnWorld(const UncertainGraph& graph,
-                                           const std::vector<char>& present) {
+/// Scratch of clustering evaluations, reused across a batch's worlds.
+struct ClusteringScratch {
+  WorldAdjacency adjacency;
+  std::vector<std::size_t> triangles;
+  std::vector<VertexId> mark;  // mark[w] == u + 1: w is a neighbor of u.
+};
+
+/// Local clustering coefficients of one world into out[0..|V|).
+void ClusteringInto(const UncertainGraph& graph, const World& world,
+                    ClusteringScratch* scratch, double* out) {
   const std::size_t n = graph.num_vertices();
-  UGS_CHECK_EQ(present.size(), graph.num_edges());
+  WorldAdjacency& adjacency = scratch->adjacency;
+  adjacency.Build(graph, world);
+  std::vector<std::size_t>& triangles = scratch->triangles;
+  std::vector<VertexId>& mark = scratch->mark;
+  triangles.assign(n, 0);
+  mark.assign(n, 0);
 
-  // Present-neighbor lists, sorted (inherits the CSR's neighbor order).
-  std::vector<std::vector<VertexId>> nbrs(n);
+  // Each triangle u < v < w is found once: from u, mark u's neighbors,
+  // then for every neighbor v > u look for marked neighbors w > v of v.
+  // Counts are integers, so the order of discovery cannot change them.
   for (VertexId u = 0; u < n; ++u) {
-    for (const AdjacencyEntry& a : graph.Neighbors(u)) {
-      if (present[a.edge]) nbrs[u].push_back(a.neighbor);
-    }
-  }
-
-  // Triangle counts per vertex: for each present edge (u, v), intersect
-  // their neighbor lists; each common neighbor w closes a triangle and
-  // credits u, v, and w once each (iterate edges u < v and count w > v to
-  // count each triangle exactly once).
-  std::vector<std::size_t> triangles(n, 0);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (!present[e]) continue;
-    VertexId u = graph.edge(e).u;
-    VertexId v = graph.edge(e).v;
-    if (u > v) std::swap(u, v);
-    const std::vector<VertexId>& a = nbrs[u];
-    const std::vector<VertexId>& b = nbrs[v];
-    // Walk both sorted lists; only common neighbors w > v so the triangle
-    // {u, v, w} is found once (at its lexicographically smallest edge).
-    auto ia = std::lower_bound(a.begin(), a.end(), v + 1);
-    auto ib = std::lower_bound(b.begin(), b.end(), v + 1);
-    while (ia != a.end() && ib != b.end()) {
-      if (*ia < *ib) {
-        ++ia;
-      } else if (*ib < *ia) {
-        ++ib;
-      } else {
-        ++triangles[u];
-        ++triangles[v];
-        ++triangles[*ia];
-        ++ia;
-        ++ib;
+    const std::span<const VertexId> nu = adjacency.Neighbors(u);
+    for (VertexId v : nu) mark[v] = u + 1;
+    for (VertexId v : nu) {
+      if (v < u) continue;
+      for (VertexId w : adjacency.Neighbors(v)) {
+        if (w > v && mark[w] == u + 1) {
+          ++triangles[u];
+          ++triangles[v];
+          ++triangles[w];
+        }
       }
     }
   }
 
-  std::vector<double> cc(n, 0.0);
   for (VertexId v = 0; v < n; ++v) {
-    std::size_t deg = nbrs[v].size();
+    const std::size_t deg = adjacency.Neighbors(v).size();
+    out[v] = 0.0;
     if (deg >= 2) {
-      cc[v] = 2.0 * static_cast<double>(triangles[v]) /
-              (static_cast<double>(deg) * static_cast<double>(deg - 1));
+      out[v] = 2.0 * static_cast<double>(triangles[v]) /
+               (static_cast<double>(deg) * static_cast<double>(deg - 1));
     }
   }
+}
+
+}  // namespace
+
+std::vector<double> LocalClusteringOnWorld(const UncertainGraph& graph,
+                                           const std::vector<char>& present) {
+  UGS_CHECK_EQ(present.size(), graph.num_edges());
+  ClusteringScratch scratch;
+  std::vector<double> cc(graph.num_vertices());
+  ClusteringInto(graph, World(present), &scratch, cc.data());
   return cc;
 }
 
@@ -67,9 +70,9 @@ McSamples McClusteringCoefficient(const UncertainGraph& graph,
   return engine.Run(
       graph, graph.num_vertices(), num_samples, rng, /*track_valid=*/false,
       [&graph]() -> SampleEngine::WorldEval {
-        return [&graph](std::vector<char>& present, double* row, char*) {
-          std::vector<double> cc = LocalClusteringOnWorld(graph, present);
-          std::copy(cc.begin(), cc.end(), row);
+        auto scratch = std::make_shared<ClusteringScratch>();
+        return [&graph, scratch](World& world, double* row, char*) {
+          ClusteringInto(graph, world, scratch.get(), row);
         };
       });
 }

@@ -17,8 +17,8 @@ namespace ugs {
 
 /// Local clustering coefficient of every vertex in one world:
 /// cc(v) = 2 * triangles(v) / (deg(v) * (deg(v)-1)); 0 when deg(v) < 2.
-/// Triangles are counted by sorted-adjacency intersection over present
-/// edges.
+/// Triangles are counted over the world's compacted adjacency
+/// (WorldAdjacency), so the pass touches present edges only.
 std::vector<double> LocalClusteringOnWorld(const UncertainGraph& graph,
                                            const std::vector<char>& present);
 

@@ -12,18 +12,16 @@ bool Supports(const std::vector<Estimator>& supported, Estimator e) {
   return std::find(supported.begin(), supported.end(), e) != supported.end();
 }
 
-bool ExactIsFeasible(const UncertainGraph& graph) {
-  return graph.num_edges() <= kMaxExactEdges;
+bool ExactIsFeasible(std::size_t num_edges) {
+  return num_edges <= kMaxExactEdges;
 }
 
 /// Enumeration visits 2^|E| worlds -- once per pair for pair queries,
 /// since the exact oracles answer one (s, t) at a time, whereas one
 /// sampled world serves every pair. It beats sampling when the full
 /// enumeration cost is within the request's world budget.
-bool ExactIsCheaperThanSampling(const UncertainGraph& graph,
-                                const QueryRequest& request) {
+bool ExactIsCheaperThanSampling(std::size_t m, const QueryRequest& request) {
   if (request.num_samples <= 0) return false;
-  const std::size_t m = graph.num_edges();
   if (m >= 63) return false;  // 1 << m would overflow (or be UB) below.
   const std::uint64_t per_pair_runs =
       std::max<std::uint64_t>(request.pairs.size(), 1);
@@ -36,12 +34,15 @@ bool ExactIsCheaperThanSampling(const UncertainGraph& graph,
          static_cast<std::uint64_t>(request.num_samples) / per_pair_runs;
 }
 
-}  // namespace
-
-Result<Estimator> SelectEstimator(const UncertainGraph& graph,
-                                  const QueryRequest& request,
-                                  const std::vector<Estimator>& supported,
-                                  const EstimatorPolicyOptions& options) {
+/// The policy proper. It depends on the graph only through |E| and its
+/// mean edge probability; the latter is asked for (it may cost a pass
+/// over the edges) only when step 3 needs it.
+template <typename MeanProbability>
+Result<Estimator> Select(std::size_t num_edges,
+                         const MeanProbability& mean_probability,
+                         const QueryRequest& request,
+                         const std::vector<Estimator>& supported,
+                         const EstimatorPolicyOptions& options) {
   const Estimator requested = request.estimator;
   if (requested != Estimator::kAuto) {
     if (!Supports(supported, requested)) {
@@ -49,11 +50,11 @@ Result<Estimator> SelectEstimator(const UncertainGraph& graph,
           "estimator '" + std::string(EstimatorName(requested)) +
           "' is not supported by query '" + request.query + "'");
     }
-    if (requested == Estimator::kExact && !ExactIsFeasible(graph)) {
+    if (requested == Estimator::kExact && !ExactIsFeasible(num_edges)) {
       return Status::FailedPrecondition(
           "exact enumeration needs at most " +
           std::to_string(kMaxExactEdges) + " edges; graph has " +
-          std::to_string(graph.num_edges()));
+          std::to_string(num_edges));
     }
     return requested;
   }
@@ -61,20 +62,41 @@ Result<Estimator> SelectEstimator(const UncertainGraph& graph,
   if (Supports(supported, Estimator::kDeterministic)) {
     return Estimator::kDeterministic;
   }
-  if (Supports(supported, Estimator::kExact) && ExactIsFeasible(graph) &&
-      ExactIsCheaperThanSampling(graph, request)) {
+  if (Supports(supported, Estimator::kExact) && ExactIsFeasible(num_edges) &&
+      ExactIsCheaperThanSampling(num_edges, request)) {
     return Estimator::kExact;
   }
-  if (Supports(supported, Estimator::kSkipSampler) && graph.num_edges() > 0) {
-    const double mean_probability =
-        graph.ExpectedEdgeCount() / static_cast<double>(graph.num_edges());
-    if (mean_probability < options.skip_sampler_max_mean_probability) {
-      return Estimator::kSkipSampler;
-    }
+  if (Supports(supported, Estimator::kSkipSampler) && num_edges > 0 &&
+      mean_probability() < options.skip_sampler_max_mean_probability) {
+    return Estimator::kSkipSampler;
   }
   if (Supports(supported, Estimator::kSampled)) return Estimator::kSampled;
   return Status::Internal("query '" + request.query +
                           "' supports no applicable estimator");
+}
+
+}  // namespace
+
+Result<Estimator> SelectEstimator(const UncertainGraph& graph,
+                                  const QueryRequest& request,
+                                  const std::vector<Estimator>& supported,
+                                  const EstimatorPolicyOptions& options) {
+  const std::size_t m = graph.num_edges();
+  // Same sum and division as GraphStats::mean_probability, so both
+  // overloads decide identically.
+  const auto mean_probability = [&graph, m] {
+    return graph.ExpectedEdgeCount() / static_cast<double>(m);
+  };
+  return Select(m, mean_probability, request, supported, options);
+}
+
+Result<Estimator> SelectEstimator(const GraphStats& stats,
+                                  const QueryRequest& request,
+                                  const std::vector<Estimator>& supported,
+                                  const EstimatorPolicyOptions& options) {
+  const auto mean_probability = [&stats] { return stats.mean_probability; };
+  return Select(stats.num_edges, mean_probability, request, supported,
+                options);
 }
 
 }  // namespace ugs

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "graph/graph_stats.h"
 #include "graph/uncertain_graph.h"
 #include "query/query.h"
 
@@ -43,6 +44,15 @@ struct EstimatorPolicyOptions {
 /// callers opt in per request.
 [[nodiscard]] Result<Estimator> SelectEstimator(
     const UncertainGraph& graph, const QueryRequest& request,
+    const std::vector<Estimator>& supported,
+    const EstimatorPolicyOptions& options = {});
+
+/// The same decision from the graph's cached statistics (reads
+/// stats.num_edges and stats.mean_probability), for callers that keep
+/// them -- GraphSession does, so its requests skip the O(|E|) sum of edge
+/// probabilities the graph overload needs for step 3.
+[[nodiscard]] Result<Estimator> SelectEstimator(
+    const GraphStats& stats, const QueryRequest& request,
     const std::vector<Estimator>& supported,
     const EstimatorPolicyOptions& options = {});
 

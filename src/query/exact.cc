@@ -4,7 +4,9 @@
 #include <memory>
 #include <vector>
 
+#include "query/reliability.h"
 #include "query/shortest_path.h"
+#include "query/world_sampler.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 #include "util/union_find.h"
@@ -36,8 +38,7 @@ void ForEachWorld(
 
 /// A per-chunk reduction visitor: adds a world's contribution into
 /// acc[0..num_accumulators).
-using ChunkVisitor =
-    std::function<void(const std::vector<char>&, double, double*)>;
+using ChunkVisitor = std::function<void(const World&, double, double*)>;
 
 /// Worlds per enumeration chunk. Fixed (never derived from the thread
 /// count) so the per-chunk partial sums -- and therefore the final
@@ -69,7 +70,8 @@ void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
 
   pool.ParallelFor(num_chunks, [&](std::size_t c) {
     ChunkVisitor visit = factory();
-    std::vector<char> present(m, 0);
+    World world(std::vector<char>(m, 0));
+    std::vector<char>& present = world.present();
     double* acc = partial.data() + c * k;
     const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk;
     const std::uint64_t end = std::min(begin + chunk, worlds);
@@ -80,7 +82,10 @@ void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
         present[e] = on ? 1 : 0;
         probability *= on ? probabilities[e] : (1.0 - probabilities[e]);
       }
-      if (probability > 0.0) visit(present, probability, acc);
+      if (probability > 0.0) {
+        world.Compact();
+        visit(world, probability, acc);
+      }
     }
   });
 
@@ -112,12 +117,8 @@ double ExactConnectivityProbability(const UncertainGraph& graph,
       graph, 1,
       [&graph, n]() -> ChunkVisitor {
         auto uf = std::make_shared<UnionFind>(n);
-        return [&graph, uf](const std::vector<char>& present, double prob,
-                            double* acc) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [&graph, uf](const World& world, double prob, double* acc) {
+          ConnectWorld(graph, world, uf.get());
           if (uf->num_components() == 1) acc[0] += prob;
         };
       },
@@ -137,12 +138,9 @@ double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t,
       graph, 1,
       [&graph, s, t]() -> ChunkVisitor {
         auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-        return [&graph, uf, s, t](const std::vector<char>& present,
-                                  double prob, double* acc) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [&graph, uf, s, t](const World& world, double prob,
+                                  double* acc) {
+          ConnectWorld(graph, world, uf.get());
           if (uf->Connected(s, t)) acc[0] += prob;
         };
       },
@@ -163,13 +161,19 @@ double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
   ParallelWorldReduce(
       graph, 2,
       [&graph, s, t]() -> ChunkVisitor {
-        auto dist = std::make_shared<std::vector<int>>();
-        return [&graph, dist, s, t](const std::vector<char>& present,
-                                    double prob, double* a) {
-          BfsOnWorld(graph, present, s, dist.get());
-          if ((*dist)[t] != kUnreachable) {
+        struct Scratch {
+          WorldAdjacency adjacency;
+          std::vector<int> dist;
+        };
+        auto scratch = std::make_shared<Scratch>();
+        return [&graph, scratch, s, t](const World& world, double prob,
+                                       double* a) {
+          scratch->adjacency.Build(graph, world);
+          BfsOnWorld(scratch->adjacency, s, &scratch->dist);
+          const int d = scratch->dist[t];
+          if (d != kUnreachable) {
             a[0] += prob;
-            a[1] += prob * static_cast<double>((*dist)[t]);
+            a[1] += prob * static_cast<double>(d);
           }
         };
       },

@@ -23,7 +23,7 @@ GraphSession::GraphSession(UncertainGraph graph, GraphSessionOptions options)
       options_(options),
       stats_(ComputeStats(graph_)),
       engine_(WithSkipSampler(options.engine, false)),
-      skip_engine_(WithSkipSampler(options.engine, true)) {}
+      skip_engine_(WithSkipSampler(options.engine, true), graph_) {}
 
 Result<std::unique_ptr<GraphSession>> GraphSession::Open(
     const std::string& path, GraphSessionOptions options) {
@@ -46,7 +46,7 @@ Result<QueryResult> GraphSession::Run(const QueryRequest& request) const {
   if (!query.ok()) return query.status();
   UGS_RETURN_IF_ERROR((*query)->Validate(graph_, request));
   Result<Estimator> estimator = SelectEstimator(
-      graph_, request, (*query)->SupportedEstimators(), options_.policy);
+      stats_, request, (*query)->SupportedEstimators(), options_.policy);
   if (!estimator.ok()) return estimator.status();
   const SampleEngine& engine =
       *estimator == Estimator::kSkipSampler ? skip_engine_ : engine_;

@@ -41,7 +41,8 @@ struct GraphSessionOptions {
 
 /// The serving facade of the query layer: owns one loaded UncertainGraph
 /// together with the per-graph state every request needs (cached stats,
-/// a plain and a skip-sampler SampleEngine), and executes QueryRequests
+/// a plain and a skip-sampler SampleEngine, the skip sampler's tables
+/// once a request needs them), and executes QueryRequests
 /// through the query registry under the estimator-selection policy.
 ///
 ///   auto session = ugs::GraphSession::Open("graph.txt");
@@ -59,6 +60,10 @@ class GraphSession {
  public:
   explicit GraphSession(UncertainGraph graph, GraphSessionOptions options = {});
 
+  // The skip engine is bound to graph_'s address.
+  GraphSession(const GraphSession&) = delete;
+  GraphSession& operator=(const GraphSession&) = delete;
+
   /// Loads a graph file into a fresh session. Paths ending in ".ugsc"
   /// (graph/csr_format.h) are mmap'ed -- open is header validation plus a
   /// checksum pass, and the session's graph is a zero-copy view over the
@@ -72,7 +77,9 @@ class GraphSession {
   const GraphStats& stats() const { return stats_; }
 
   /// The session's plain sampling engine (skip-sampler requests are
-  /// routed to a twin engine with use_skip_sampler set).
+  /// routed to a twin engine with use_skip_sampler set, bound to this
+  /// session's graph: the skip sampler's tables are built on the first
+  /// skip request and shared by every later one).
   const SampleEngine& engine() const { return engine_; }
 
   const GraphSessionOptions& options() const { return options_; }

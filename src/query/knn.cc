@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -46,9 +45,9 @@ std::vector<KnnResult> MostProbableKnn(const UncertainGraph& graph,
 
 std::vector<std::vector<KnnResult>> MostProbableKnnBatch(
     const UncertainGraph& graph, const std::vector<VertexId>& sources,
-    std::size_t k) {
+    std::size_t k, ThreadPool& pool) {
   std::vector<std::vector<KnnResult>> results(sources.size());
-  ThreadPool::Default().ParallelFor(sources.size(), [&](std::size_t i) {
+  pool.ParallelFor(sources.size(), [&](std::size_t i) {
     results[i] = MostProbableKnn(graph, sources[i], k);
   });
   return results;

@@ -4,13 +4,14 @@
 #include <vector>
 
 #include "graph/uncertain_graph.h"
+#include "util/thread_pool.h"
 
 namespace ugs {
 
 /// DEPRECATED for direct use: prefer the unified Query API -- request
 /// "knn" through GraphSession (query/graph_session.h). MostProbableKnn
-/// remains as the compute kernel the registry dispatches to (the session
-/// parallelizes sources on its own engine pool).
+/// remains as the compute kernel the registry dispatches to (through
+/// MostProbableKnnBatch on the session's engine pool).
 
 /// K-nearest-neighbor queries on uncertain graphs under the
 /// most-probable-path distance (Potamias et al., PVLDB 2010 -- the
@@ -29,11 +30,13 @@ std::vector<KnnResult> MostProbableKnn(const UncertainGraph& graph,
                                        VertexId source, std::size_t k);
 
 /// Batch kNN: one MostProbableKnn per source, computed in parallel on
-/// ThreadPool::Default() (sources are independent Dijkstra runs).
-/// result[i] corresponds to sources[i].
+/// `pool` (sources are independent Dijkstra runs writing disjoint slots,
+/// so the result is the same at any pool width). result[i] corresponds
+/// to sources[i]. The "knn" query runs this on its session's engine
+/// pool.
 std::vector<std::vector<KnnResult>> MostProbableKnnBatch(
     const UncertainGraph& graph, const std::vector<VertexId>& sources,
-    std::size_t k);
+    std::size_t k, ThreadPool& pool);
 
 }  // namespace ugs
 

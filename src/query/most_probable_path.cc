@@ -6,7 +6,6 @@
 #include <queue>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ugs {
 namespace {
@@ -73,9 +72,10 @@ std::vector<double> MostProbablePathProbabilities(const UncertainGraph& graph,
 }
 
 std::vector<std::vector<double>> MostProbablePathProbabilitiesBatch(
-    const UncertainGraph& graph, const std::vector<VertexId>& sources) {
+    const UncertainGraph& graph, const std::vector<VertexId>& sources,
+    ThreadPool& pool) {
   std::vector<std::vector<double>> results(sources.size());
-  ThreadPool::Default().ParallelFor(sources.size(), [&](std::size_t i) {
+  pool.ParallelFor(sources.size(), [&](std::size_t i) {
     results[i] = MostProbablePathProbabilities(graph, sources[i]);
   });
   return results;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/uncertain_graph.h"
+#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -33,10 +34,12 @@ std::vector<double> MostProbablePathProbabilities(const UncertainGraph& graph,
                                                   VertexId s);
 
 /// Batch variant: one MostProbablePathProbabilities run per source,
-/// computed in parallel on ThreadPool::Default() (runs are independent).
+/// computed in parallel on `pool` (runs are independent and write
+/// disjoint slots, so the result is the same at any pool width).
 /// result[i] corresponds to sources[i].
 std::vector<std::vector<double>> MostProbablePathProbabilitiesBatch(
-    const UncertainGraph& graph, const std::vector<VertexId>& sources);
+    const UncertainGraph& graph, const std::vector<VertexId>& sources,
+    ThreadPool& pool);
 
 }  // namespace ugs
 

@@ -93,11 +93,8 @@ WorldQueryFactory ReachabilityFactory(const UncertainGraph& graph, VertexId s,
                                       VertexId t) {
   return [&graph, s, t]() -> WorldQuery {
     auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-    return [&graph, uf, s, t](const std::vector<char>& present) {
-      uf->Reset();
-      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-        if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-      }
+    return [&graph, uf, s, t](const World& world) {
+      ConnectWorld(graph, world, uf.get());
       return uf->Connected(s, t) ? 1.0 : 0.0;
     };
   };
@@ -109,10 +106,15 @@ WorldQueryFactory ReachabilityFactory(const UncertainGraph& graph, VertexId s,
 WorldQueryFactory DistanceFactory(const UncertainGraph& graph, VertexId s,
                                   VertexId t, bool distance) {
   return [&graph, s, t, distance]() -> WorldQuery {
-    auto dist = std::make_shared<std::vector<int>>();
-    return [&graph, dist, s, t, distance](const std::vector<char>& present) {
-      BfsOnWorld(graph, present, s, dist.get());
-      int d = (*dist)[t];
+    struct Scratch {
+      WorldAdjacency adjacency;
+      std::vector<int> dist;
+    };
+    auto scratch = std::make_shared<Scratch>();
+    return [&graph, scratch, s, t, distance](const World& world) {
+      scratch->adjacency.Build(graph, world);
+      BfsOnWorld(scratch->adjacency, s, &scratch->dist);
+      int d = scratch->dist[t];
       if (d == kUnreachable) return 0.0;
       return distance ? static_cast<double>(d) : 1.0;
     };
@@ -201,11 +203,8 @@ class ConnectivityQuery final : public Query {
       case Estimator::kStratified: {
         auto factory = [&graph]() -> WorldQuery {
           auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-          return [&graph, uf](const std::vector<char>& present) {
-            uf->Reset();
-            for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-              if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-            }
+          return [&graph, uf](const World& world) {
+            ConnectWorld(graph, world, uf.get());
             return uf->num_components() == 1 ? 1.0 : 0.0;
           };
         };
@@ -364,12 +363,8 @@ class KnnQuery final : public Query {
                           const QueryRequest& request, Estimator,
                           const SampleEngine& engine) const override {
     QueryResult result;
-    result.knn.resize(request.sources.size());
-    // Sources are independent Dijkstra runs writing disjoint slots, so
-    // the session's pool parallelizes them without affecting results.
-    engine.pool().ParallelFor(request.sources.size(), [&](std::size_t i) {
-      result.knn[i] = MostProbableKnn(graph, request.sources[i], request.k);
-    });
+    result.knn = MostProbableKnnBatch(graph, request.sources, request.k,
+                                      engine.pool());
     return result;
   }
 };

@@ -3,9 +3,15 @@
 #include <memory>
 
 #include "util/check.h"
-#include "util/union_find.h"
 
 namespace ugs {
+
+void ConnectWorld(const UncertainGraph& graph, const World& world,
+                  UnionFind* uf) {
+  uf->Reset();
+  const std::span<const UncertainEdge> edges = graph.edges();
+  for (EdgeId e : world.present_edges()) uf->Union(edges[e].u, edges[e].v);
+}
 
 McSamples McReliability(const UncertainGraph& graph,
                         const std::vector<VertexPair>& pairs,
@@ -15,12 +21,8 @@ McSamples McReliability(const UncertainGraph& graph,
       graph, pairs.size(), num_samples, rng, /*track_valid=*/false,
       [&graph, &pairs]() -> SampleEngine::WorldEval {
         auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-        return [&graph, &pairs, uf](std::vector<char>& present, double* row,
-                                    char*) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [&graph, &pairs, uf](World& world, double* row, char*) {
+          ConnectWorld(graph, world, uf.get());
           for (std::size_t i = 0; i < pairs.size(); ++i) {
             row[i] = uf->Connected(pairs[i].s, pairs[i].t) ? 1.0 : 0.0;
           }
@@ -53,11 +55,8 @@ double EstimateConnectivity(const UncertainGraph& graph, int num_samples,
   return engine.RunMean(
       graph, num_samples, rng, [&graph]() -> SampleEngine::WorldStat {
         auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-        return [&graph, uf](std::vector<char>& present) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [&graph, uf](World& world) {
+          ConnectWorld(graph, world, uf.get());
           return uf->num_components() == 1 ? 1.0 : 0.0;
         };
       });

@@ -8,6 +8,7 @@
 #include "query/shortest_path.h"
 #include "query/world_sampler.h"
 #include "util/random.h"
+#include "util/union_find.h"
 
 namespace ugs {
 
@@ -16,6 +17,12 @@ namespace ugs {
 /// (query/graph_session.h). These free functions remain as the compute
 /// kernels the registry dispatches to, so results are bit-identical
 /// either way.
+
+/// Resets `uf` and unions the endpoints of the world's present edges, in
+/// ascending edge-id order: the per-world pass behind every reliability
+/// and connectivity answer (sampled, stratified and exact).
+void ConnectWorld(const UncertainGraph& graph, const World& world,
+                  UnionFind* uf);
 
 /// Monte-Carlo reliability (query (iii) of Section 6.3): for each pair,
 /// each sample is the 0/1 indicator that t is reachable from s in the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "query/skip_sampler.h"
 #include "util/check.h"
 
 namespace ugs {
@@ -14,6 +13,12 @@ SampleEngine::SampleEngine(SampleEngineOptions options)
   if (options_.num_threads > 0) {
     owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
+}
+
+SampleEngine::SampleEngine(SampleEngineOptions options,
+                           const UncertainGraph& graph)
+    : SampleEngine(options) {
+  bound_ = std::make_unique<BoundSkipTables>(graph);
 }
 
 ThreadPool& SampleEngine::pool() const {
@@ -48,26 +53,33 @@ McSamples SampleEngine::Run(const UncertainGraph& graph,
   const std::size_t total = out.num_samples;
   const std::size_t num_batches = (total + batch - 1) / batch;
 
-  std::optional<SkipWorldSampler> skip_storage;
-  if (options_.use_skip_sampler) skip_storage.emplace(graph);
-  const SkipWorldSampler* skip =
-      skip_storage.has_value() ? &*skip_storage : nullptr;
+  const SkipWorldSampler* skip = nullptr;
+  std::optional<SkipWorldSampler> run_tables;
+  if (options_.use_skip_sampler) {
+    if (bound_ != nullptr && bound_->graph == &graph) {
+      std::call_once(bound_->once,
+                     [this] { bound_->sampler.emplace(*bound_->graph); });
+      skip = &*bound_->sampler;
+    } else {
+      skip = &run_tables.emplace(graph);
+    }
+  }
 
   double* values = out.values.data();
   char* valid = track_valid ? out.valid.data() : nullptr;
   pool().ParallelFor(num_batches, [&](std::size_t b) {
     WorldEval eval = factory();
-    std::vector<char> present;
+    World world;
     const std::size_t begin = b * batch;
     const std::size_t end = std::min(begin + batch, total);
     for (std::size_t s = begin; s < end; ++s) {
       Rng sample_rng = SampleRng(base, s);
       if (skip != nullptr) {
-        skip->Sample(&sample_rng, &present);
+        skip->Sample(&sample_rng, &world);
       } else {
-        SampleWorld(graph, &sample_rng, &present);
+        SampleWorld(graph, &sample_rng, &world);
       }
-      eval(present, values + s * num_units,
+      eval(world, values + s * num_units,
            valid != nullptr ? valid + s * num_units : nullptr);
     }
   });
@@ -81,9 +93,8 @@ double SampleEngine::RunMean(const UncertainGraph& graph, int num_samples,
       Run(graph, 1, num_samples, rng, /*track_valid=*/false,
           [&factory]() -> WorldEval {
             WorldStat stat = factory();
-            return [stat = std::move(stat)](std::vector<char>& present,
-                                            double* row, char*) {
-              row[0] = stat(present);
+            return [stat = std::move(stat)](World& world, double* row, char*) {
+              row[0] = stat(world);
             };
           });
   // Fixed summation order keeps the mean bit-identical across thread

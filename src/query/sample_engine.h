@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
+#include "query/skip_sampler.h"
 #include "query/world_sampler.h"
 #include "telemetry/metrics.h"
 #include "util/random.h"
@@ -26,6 +29,8 @@ struct SampleEngineOptions {
   /// Draw worlds with SkipWorldSampler (geometric skipping, fewer RNG
   /// calls on low-probability graphs) instead of the plain per-edge
   /// sampler. Changes the random stream but not the world distribution.
+  /// The sampler's tables are built per Run, or once per engine for the
+  /// graph an engine is bound to (see the binding constructor).
   bool use_skip_sampler = false;
   /// Borrowed telemetry counter bumped by num_samples once per Run /
   /// RunMean (worlds drawn; the samples/sec signal). Null = untracked.
@@ -55,13 +60,21 @@ class SampleEngine {
  public:
   explicit SampleEngine(SampleEngineOptions options = {});
 
+  /// An engine bound to `graph` (which must outlive it): its skip-sampled
+  /// Runs over that graph share one set of SkipWorldSampler tables,
+  /// built on the first such Run. GraphSession binds its skip engine
+  /// this way, so a session that never takes a skip request never builds
+  /// them. Runs over any other graph behave as for an unbound engine.
+  SampleEngine(SampleEngineOptions options, const UncertainGraph& graph);
+
   /// Evaluates one sampled world: writes the query's per-unit results
   /// into row[0..num_units) and, when the query tracks conditioning,
   /// validity flags into valid[0..num_units) (null when Run was told not
-  /// to track validity). `present` may be overwritten (e.g. stratified
-  /// pivot conditioning); it is task-local scratch.
-  using WorldEval = std::function<void(std::vector<char>& present,
-                                       double* row, char* valid)>;
+  /// to track validity). The world is task-local scratch and may be
+  /// overwritten (stratified pivot conditioning), provided its
+  /// present-edge list is re-derived (World::Compact) before it is read.
+  using WorldEval =
+      std::function<void(World& world, double* row, char* valid)>;
 
   /// Builds a WorldEval plus whatever scratch it needs (union-find,
   /// distance arrays, ...). Called once per dispatched batch, so scratch
@@ -78,7 +91,7 @@ class SampleEngine {
                 const WorldEvalFactory& factory) const;
 
   /// Scalar world statistic evaluated per world.
-  using WorldStat = std::function<double(std::vector<char>& present)>;
+  using WorldStat = std::function<double(World& world)>;
   using WorldStatFactory = std::function<WorldStat()>;
 
   /// Mean of a scalar statistic over num_samples worlds (summed in sample
@@ -102,8 +115,17 @@ class SampleEngine {
   static Rng SampleRng(std::uint64_t base, std::uint64_t index);
 
  private:
+  /// Skip tables of the bound graph, built at most once.
+  struct BoundSkipTables {
+    explicit BoundSkipTables(const UncertainGraph& g) : graph(&g) {}
+    const UncertainGraph* graph;
+    std::once_flag once;
+    std::optional<SkipWorldSampler> sampler;
+  };
+
   SampleEngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;  // Only when num_threads > 0.
+  std::unique_ptr<BoundSkipTables> bound_;  // Only for bound engines.
 };
 
 }  // namespace ugs

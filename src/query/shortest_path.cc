@@ -8,30 +8,35 @@
 
 namespace ugs {
 
-void BfsOnWorld(const UncertainGraph& graph, const std::vector<char>& present,
-                VertexId source, std::vector<int>* dist) {
-  const std::size_t n = graph.num_vertices();
+void BfsOnWorld(const WorldAdjacency& adjacency, VertexId source,
+                std::vector<int>* dist) {
+  const std::size_t n = adjacency.num_vertices();
   UGS_CHECK(source < n);
-  UGS_CHECK_EQ(present.size(), graph.num_edges());
   dist->assign(n, kUnreachable);
-  (*dist)[source] = 0;
-  std::vector<VertexId> frontier{source};
-  std::vector<VertexId> next;
-  int level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next.clear();
-    for (VertexId u : frontier) {
-      for (const AdjacencyEntry& a : graph.Neighbors(u)) {
-        if (!present[a.edge]) continue;
-        if ((*dist)[a.neighbor] == kUnreachable) {
-          (*dist)[a.neighbor] = level;
-          next.push_back(a.neighbor);
-        }
+  int* d = dist->data();
+  // Vertices in visit order; each is enqueued once, at its final level.
+  std::vector<VertexId> queue;
+  queue.reserve(n);
+  d[source] = 0;
+  queue.push_back(source);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const VertexId u = queue[head];
+    const int level = d[u] + 1;
+    for (VertexId w : adjacency.Neighbors(u)) {
+      if (d[w] == kUnreachable) {
+        d[w] = level;
+        queue.push_back(w);
       }
     }
-    frontier.swap(next);
   }
+}
+
+void BfsOnWorld(const UncertainGraph& graph, const std::vector<char>& present,
+                VertexId source, std::vector<int>* dist) {
+  UGS_CHECK_EQ(present.size(), graph.num_edges());
+  WorldAdjacency adjacency;
+  adjacency.Build(graph, World(present));
+  BfsOnWorld(adjacency, source, dist);
 }
 
 std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,
@@ -65,13 +70,18 @@ McSamples McShortestPath(const UncertainGraph& graph,
   return engine.Run(
       graph, pairs.size(), num_samples, rng, /*track_valid=*/true,
       [&graph, &pairs, by_source]() -> SampleEngine::WorldEval {
-        auto dist = std::make_shared<std::vector<int>>();
-        return [&graph, &pairs, by_source, dist](std::vector<char>& present,
-                                                 double* row, char* valid) {
+        struct Scratch {
+          WorldAdjacency adjacency;
+          std::vector<int> dist;
+        };
+        auto scratch = std::make_shared<Scratch>();
+        return [&graph, &pairs, by_source, scratch](World& world, double* row,
+                                                    char* valid) {
+          scratch->adjacency.Build(graph, world);
           for (const auto& [source, indices] : *by_source) {
-            BfsOnWorld(graph, present, source, dist.get());
+            BfsOnWorld(scratch->adjacency, source, &scratch->dist);
             for (std::size_t i : indices) {
-              int d = (*dist)[pairs[i].t];
+              int d = scratch->dist[pairs[i].t];
               if (d != kUnreachable) {
                 row[i] = static_cast<double>(d);
                 valid[i] = 1;

@@ -24,10 +24,16 @@ struct VertexPair {
   VertexId t = 0;
 };
 
-/// BFS hop distances from `source` in the world given by the presence
-/// flags; dist is resized to |V| and unreachable vertices get
-/// kUnreachable. Worlds are unweighted (paper assumption), so BFS is the
-/// shortest-path computation.
+/// BFS hop distances from `source` over one world's compacted adjacency;
+/// dist is resized to |V| and unreachable vertices get kUnreachable.
+/// Worlds are unweighted (paper assumption), so BFS is the shortest-path
+/// computation. Build the adjacency once per world and reuse it for
+/// every source.
+void BfsOnWorld(const WorldAdjacency& adjacency, VertexId source,
+                std::vector<int>* dist);
+
+/// The same for the world given by the presence flags (builds the
+/// world's adjacency first).
 void BfsOnWorld(const UncertainGraph& graph, const std::vector<char>& present,
                 VertexId source, std::vector<int>* dist);
 
@@ -37,7 +43,8 @@ std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,
 
 /// Monte-Carlo shortest-path distance (query (ii) of Section 6.3):
 /// unit = pair; a sample is valid only when the pair is connected in that
-/// world ("excluding the ones that disconnect them"). Pairs sharing a
+/// world ("excluding the ones that disconnect them"). Each world's
+/// adjacency is compacted once and shared by all sources; pairs sharing a
 /// source share one BFS per world. Worlds are dispatched through `engine`
 /// (deterministic at any thread count); the Rng*-only overload uses
 /// SampleEngine::Default().

@@ -41,9 +41,8 @@ double MonteCarloEstimate(const UncertainGraph& graph,
   return engine.RunMean(graph, total_samples, rng,
                         [&factory]() -> SampleEngine::WorldStat {
                           WorldQuery query = factory();
-                          return [query = std::move(query)](
-                                     std::vector<char>& present) {
-                            return query(present);
+                          return [query = std::move(query)](World& world) {
+                            return query(world);
                           };
                         });
 }
@@ -62,10 +61,7 @@ double StratifiedEstimate(const UncertainGraph& graph,
                           const SampleEngine& engine) {
   UGS_CHECK(options.total_samples > 0);
   const std::size_t m = graph.num_edges();
-  if (m == 0) {
-    std::vector<char> empty;
-    return factory()(empty);
-  }
+  if (m == 0) return factory()(World());
   std::vector<EdgeId> pivots =
       HighestEntropyEdges(graph, options.num_pivot_edges);
   const std::size_t r = pivots.size();
@@ -88,17 +84,19 @@ double StratifiedEstimate(const UncertainGraph& graph,
         1, static_cast<int>(std::llround(stratum_probability *
                                          options.total_samples)));
     // Condition the sampled world on this stratum's pivot assignment,
-    // then evaluate; the engine hands each batch its own query instance.
+    // re-derive its present-edge list, then evaluate; the engine hands
+    // each batch its own query instance.
     double mean = engine.RunMean(
         graph, samples, rng,
         [&factory, &pivots, stratum, r]() -> SampleEngine::WorldStat {
           WorldQuery query = factory();
-          return [query = std::move(query), &pivots, stratum,
-                  r](std::vector<char>& present) {
+          return [query = std::move(query), &pivots, stratum, r](World& world) {
+            std::vector<char>& present = world.present();
             for (std::size_t i = 0; i < r; ++i) {
               present[pivots[i]] = static_cast<char>((stratum >> i) & 1ULL);
             }
-            return query(present);
+            world.Compact();
+            return query(world);
           };
         });
     estimate += stratum_probability * mean;

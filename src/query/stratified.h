@@ -6,6 +6,7 @@
 
 #include "graph/uncertain_graph.h"
 #include "query/sample_engine.h"
+#include "query/world_sampler.h"
 #include "util/random.h"
 
 namespace ugs {
@@ -33,9 +34,10 @@ struct StratifiedOptions {
   int total_samples = 512;   ///< budget allocated across strata.
 };
 
-/// A query evaluated on one deterministic world: receives the presence
-/// flags (parallel to graph.edges()) and returns a scalar.
-using WorldQuery = std::function<double(const std::vector<char>&)>;
+/// A query evaluated on one deterministic world: receives the world
+/// (presence flags and the ascending present-edge ids) and returns a
+/// scalar.
+using WorldQuery = std::function<double(const World&)>;
 
 /// Builds a WorldQuery together with its scratch state. The factory is
 /// invoked once per engine batch, so queries built through it may hold

@@ -2,6 +2,7 @@
 #define UGS_QUERY_WORLD_SAMPLER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
@@ -9,11 +10,64 @@
 
 namespace ugs {
 
+/// One possible world, held two ways: the presence flags (parallel to
+/// graph.edges(), for O(1) membership tests) and the ascending ids of the
+/// present edges. Every per-world kernel loops over the latter, so a
+/// world costs its ~E[p]|E| present edges instead of all |E|. Reused
+/// across the worlds of a batch, so its buffers are allocated once.
+class World {
+ public:
+  World() = default;
+
+  /// The world with these presence flags (compacted on construction).
+  explicit World(std::vector<char> present);
+
+  /// Presence flags. A caller that overwrites entries (stratified pivot
+  /// conditioning) must call Compact() before the world is read again.
+  std::vector<char>& present() { return present_; }
+  const std::vector<char>& present() const { return present_; }
+
+  /// Ascending ids of the present edges, as of the last Compact().
+  std::span<const EdgeId> present_edges() const { return ids_; }
+
+  /// Re-derives present_edges() from the flags, eight flags per step.
+  void Compact();
+
+ private:
+  std::vector<char> present_;
+  std::vector<EdgeId> ids_;
+};
+
 /// Samples one possible world: present[e] = 1 with probability p_e,
 /// independently per edge (possible-world semantics, Section 1). O(|E|).
 /// `present` is resized to |E|.
 void SampleWorld(const UncertainGraph& graph, Rng* rng,
                  std::vector<char>* present);
+
+/// Same draws into a World's flags, then compacts its present-edge list.
+void SampleWorld(const UncertainGraph& graph, Rng* rng, World* world);
+
+/// The adjacency of one world: its present edges only, as a compact CSR
+/// built in O(|V| + |present|) from World::present_edges(). Built once
+/// per world and shared by every BFS or triangle pass over it. Within a
+/// vertex, neighbors follow edge-id order; BFS levels and triangle counts
+/// do not depend on that order.
+class WorldAdjacency {
+ public:
+  /// (Re)builds the adjacency of `world`; the accessors below read the
+  /// last build.
+  void Build(const UncertainGraph& graph, const World& world);
+
+  std::size_t num_vertices() const { return offsets_.size() - 1; }
+
+  std::span<const VertexId> Neighbors(VertexId u) const {
+    return {neighbors_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;  // Slice begins, then 2 |present|.
+  std::vector<VertexId> neighbors_;
+};
 
 /// Number of edges present in a sampled world.
 std::size_t CountPresent(const std::vector<char>& present);

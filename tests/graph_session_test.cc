@@ -256,6 +256,52 @@ TEST(GraphSessionTest, OverlapMatrixIsBitIdenticalAtEveryWidth) {
   }
 }
 
+TEST(GraphSessionTest, KnnAndMostProbablePathIdenticalAtEngineWidths1_2_8) {
+  // Both run on the session's engine pool; sources and pairs are
+  // independent Dijkstra runs, so the width never changes a bit.
+  const UncertainGraph g = testing_util::PaperFigure2Graph();
+  QueryRequest knn;
+  knn.query = "knn";
+  knn.sources = {0, 1, 2, 3, 2, 0};
+  knn.k = 3;
+  QueryRequest mpp;
+  mpp.query = "most-probable-path";
+  mpp.pairs = {{0, 3}, {1, 2}, {3, 0}, {2, 1}, {0, 0}};
+  std::vector<std::vector<KnnResult>> first_knn;
+  std::vector<MostProbablePath> first_paths;
+  for (int width : {1, 2, 8}) {
+    GraphSessionOptions options;
+    options.engine.num_threads = width;
+    GraphSession session(g, options);
+    ASSERT_EQ(session.engine().num_threads(), width);
+    Result<QueryResult> knn_result = session.Run(knn);
+    Result<QueryResult> mpp_result = session.Run(mpp);
+    ASSERT_TRUE(knn_result.ok());
+    ASSERT_TRUE(mpp_result.ok());
+    ASSERT_EQ(knn_result->knn.size(), knn.sources.size());
+    ASSERT_EQ(mpp_result->paths.size(), mpp.pairs.size());
+    if (width == 1) {
+      first_knn = knn_result->knn;
+      first_paths = mpp_result->paths;
+      continue;
+    }
+    for (std::size_t i = 0; i < first_knn.size(); ++i) {
+      ASSERT_EQ(knn_result->knn[i].size(), first_knn[i].size());
+      for (std::size_t j = 0; j < first_knn[i].size(); ++j) {
+        EXPECT_EQ(knn_result->knn[i][j].vertex, first_knn[i][j].vertex);
+        EXPECT_EQ(knn_result->knn[i][j].path_probability,
+                  first_knn[i][j].path_probability)
+            << "width " << width;
+      }
+    }
+    for (std::size_t i = 0; i < first_paths.size(); ++i) {
+      EXPECT_EQ(mpp_result->paths[i].vertices, first_paths[i].vertices);
+      EXPECT_EQ(mpp_result->paths[i].probability, first_paths[i].probability)
+          << "width " << width;
+    }
+  }
+}
+
 TEST(GraphSessionTest, IdenticalRequestsAgreeAcrossSessions) {
   GraphSessionOptions wide;
   wide.engine.num_threads = 8;

@@ -90,12 +90,15 @@ TEST(MostProbablePathTest, SparsificationPreservesStrongRoutes) {
 TEST(MostProbablePathTest, BatchMatchesPerSourceResults) {
   UncertainGraph g = testing_util::PaperFigure2Graph();
   std::vector<VertexId> sources = {0, 1, 2, 3, 1};
-  std::vector<std::vector<double>> batch =
-      MostProbablePathProbabilitiesBatch(g, sources);
-  ASSERT_EQ(batch.size(), sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(batch[i], MostProbablePathProbabilities(g, sources[i]))
-        << "source " << sources[i];
+  for (int width : {1, 2, 8}) {
+    ThreadPool pool(width);
+    std::vector<std::vector<double>> batch =
+        MostProbablePathProbabilitiesBatch(g, sources, pool);
+    ASSERT_EQ(batch.size(), sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(batch[i], MostProbablePathProbabilities(g, sources[i]))
+          << "source " << sources[i] << ", width " << width;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/graph_stats.h"
 #include "query/clustering.h"
 #include "query/estimator_policy.h"
 #include "query/exact.h"
@@ -202,6 +203,45 @@ TEST(EstimatorPolicyTest, AutoPicksSkipSamplerOnLowProbabilityGraphs) {
   EXPECT_EQ(*choice, Estimator::kSampled);
 }
 
+TEST(EstimatorPolicyTest, CachedStatsDecideLikeTheGraph) {
+  // GraphSession decides from its cached GraphStats; every decision must
+  // be the one the graph overload makes (E[p] = 0.25 is the boundary).
+  std::vector<UncertainGraph> graphs;
+  graphs.push_back(testing_util::PathGraph(40, 0.1));
+  graphs.push_back(testing_util::PathGraph(40, 0.8));
+  graphs.push_back(testing_util::PathGraph(40, 0.25));
+  graphs.push_back(testing_util::CompleteK4(0.3));
+  graphs.push_back(testing_util::PathGraph(kMaxExactEdges + 2, 0.1));
+  graphs.push_back(UncertainGraph::FromEdges(3, {}));
+  const int last = static_cast<int>(Estimator::kDeterministic);
+  for (const UncertainGraph& g : graphs) {
+    const GraphStats stats = ComputeStats(g);
+    for (const std::string& name : KnownQueryNames()) {
+      const std::vector<Estimator> supported =
+          (*MakeQueryByName(name))->SupportedEstimators();
+      for (int e = 0; e <= last; ++e) {
+        for (int num_samples : {1, 64, 1 << 20}) {
+          QueryRequest request;
+          request.query = name;
+          request.estimator = static_cast<Estimator>(e);
+          request.num_samples = num_samples;
+          request.pairs = {{0, 1}};
+          Result<Estimator> from_graph = SelectEstimator(g, request, supported);
+          Result<Estimator> from_stats =
+              SelectEstimator(stats, request, supported);
+          ASSERT_EQ(from_graph.ok(), from_stats.ok());
+          if (from_graph.ok()) {
+            EXPECT_EQ(*from_graph, *from_stats)
+                << name << " on " << g.num_edges() << " edges";
+          } else {
+            EXPECT_EQ(from_graph.status().code(), from_stats.status().code());
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(EstimatorPolicyTest, AutoNeverPicksStratified) {
   UncertainGraph g = testing_util::PathGraph(40, 0.5);
   QueryRequest request;
@@ -323,10 +363,10 @@ TEST(QueryGoldenTest, StratifiedConnectivityMatchesLegacyAtEveryThreadCount) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   auto factory = [&g]() -> WorldQuery {
     auto uf = std::make_shared<UnionFind>(g.num_vertices());
-    return [&g, uf](const std::vector<char>& present) {
+    return [&g, uf](const World& world) {
       uf->Reset();
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (present[e]) uf->Union(g.edge(e).u, g.edge(e).v);
+        if (world.present()[e]) uf->Union(g.edge(e).u, g.edge(e).v);
       }
       return uf->num_components() == 1 ? 1.0 : 0.0;
     };

@@ -1,6 +1,8 @@
 #include "query/stratified.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,10 +16,10 @@ namespace {
 
 /// Connectivity indicator as a WorldQuery.
 WorldQuery ConnectivityQuery(const UncertainGraph& g) {
-  return [&g](const std::vector<char>& present) {
+  return [&g](const World& world) {
     UnionFind uf(g.num_vertices());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (present[e]) uf.Union(g.edge(e).u, g.edge(e).v);
+      if (world.present()[e]) uf.Union(g.edge(e).u, g.edge(e).v);
     }
     return uf.num_components() == 1 ? 1.0 : 0.0;
   };
@@ -65,9 +67,9 @@ TEST(StratifiedTest, AllEdgesPivotedIsExact) {
 TEST(StratifiedTest, MonteCarloAgreesOnSimpleMean) {
   // Query = number of present edges; its expectation is sum(p).
   UncertainGraph g = testing_util::CompleteK4(0.3);
-  WorldQuery count = [](const std::vector<char>& present) {
+  WorldQuery count = [](const World& world) {
     double c = 0;
-    for (char x : present) c += x;
+    for (char x : world.present()) c += x;
     return c;
   };
   Rng r1(3), r2(4);
@@ -118,12 +120,34 @@ TEST(StratifiedTest, DeterministicEdgesSkipImpossibleStrata) {
   EXPECT_NEAR(estimate, 0.5, 1e-9);  // Exact: all strata enumerated.
 }
 
+TEST(StratifiedTest, PivotOverwriteRederivesPresentEdges) {
+  // Every world the query sees has its pivots forced to the stratum's
+  // assignment; its present-edge list must still be exactly the set
+  // flags, or the union-find and BFS kernels would read a stale world.
+  UncertainGraph g = testing_util::CompleteK4(0.5);
+  auto factory = []() -> WorldQuery {
+    return [](const World& world) {
+      std::vector<EdgeId> expected;
+      for (std::size_t e = 0; e < world.present().size(); ++e) {
+        if (world.present()[e]) expected.push_back(static_cast<EdgeId>(e));
+      }
+      return std::ranges::equal(world.present_edges(), expected) ? 1.0 : 0.0;
+    };
+  };
+  StratifiedOptions options;
+  options.num_pivot_edges = 4;
+  options.total_samples = 256;
+  Rng rng(10);
+  SampleEngine engine(SampleEngineOptions{.num_threads = 2});
+  EXPECT_EQ(StratifiedEstimate(g, factory, options, &rng, engine), 1.0);
+}
+
 TEST(StratifiedTest, EmptyGraphQueryStillRuns) {
   UncertainGraph g = UncertainGraph::FromEdges(1, {});
   StratifiedOptions options;
   Rng rng(9);
-  double estimate = StratifiedEstimate(
-      g, [](const std::vector<char>&) { return 42.0; }, options, &rng);
+  WorldQuery constant = [](const World&) { return 42.0; };
+  double estimate = StratifiedEstimate(g, constant, options, &rng);
   EXPECT_DOUBLE_EQ(estimate, 42.0);
 }
 

@@ -8,9 +8,9 @@
 namespace ugs {
 namespace testing_util {
 
-/// The worked-example graph of the paper's Figures 2-3 (reconstructed in
-/// DESIGN.md; validated by the initial objective D1 = 0.56 and entropy
-/// H = 3.85 the paper quotes). Edge ids in insertion order:
+/// The worked-example graph of the paper's Figures 2-3 (reconstructed
+/// from the figures; validated by the initial objective D1 = 0.56 and
+/// entropy H = 3.85 the paper quotes). Edge ids in insertion order:
 ///   0: (u1,u2) p=0.4    1: (u1,u3) p=0.2    2: (u1,u4) p=0.2
 ///   3: (u2,u4) p=0.1    4: (u3,u4) p=0.4
 /// Vertices are 0-based: u1 = 0, ..., u4 = 3.

@@ -49,7 +49,7 @@ TEST(UncertainGraphTest, BasicAccessors) {
 
 TEST(UncertainGraphTest, PaperFigure2EntropyIs385) {
   // The paper quotes H = 3.85 bits for the Figure 2 graph; this anchors
-  // our choice of log base (DESIGN.md note 1).
+  // the choice of log base (bits, log2).
   EXPECT_NEAR(PaperFigure2Graph().EntropyBits(), 3.85, 0.005);
 }
 

@@ -2,10 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "query/skip_sampler.h"
 #include "tests/test_util.h"
 
 namespace ugs {
 namespace {
+
+/// The ascending ids of the set flags: what World::present_edges() must
+/// hold after every sampler and every overwrite.
+std::vector<EdgeId> SetFlags(const std::vector<char>& present) {
+  std::vector<EdgeId> ids;
+  for (std::size_t e = 0; e < present.size(); ++e) {
+    if (present[e] != 0) ids.push_back(static_cast<EdgeId>(e));
+  }
+  return ids;
+}
+
+std::vector<EdgeId> PresentEdges(const World& world) {
+  return {world.present_edges().begin(), world.present_edges().end()};
+}
+
+/// 45 edges of K10 (45 is not a multiple of 8, so the compaction's tail
+/// runs), with probabilities covering p = 0, p = 1 and every skip bucket.
+UncertainGraph MixedGraph() {
+  constexpr double kP[] = {0.0, 0.01, 0.04, 0.08, 0.15, 0.3, 0.5, 0.9, 1.0};
+  std::vector<UncertainEdge> edges;
+  for (VertexId u = 0; u < 10; ++u) {
+    for (VertexId v = u + 1; v < 10; ++v) {
+      edges.push_back({u, v, kP[edges.size() % 9]});
+    }
+  }
+  return UncertainGraph::FromEdges(10, std::move(edges));
+}
 
 TEST(WorldSamplerTest, PresenceFlagSizes) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
@@ -44,6 +75,88 @@ TEST(WorldSamplerTest, ZeroProbabilityEdgeNeverPresent) {
 TEST(WorldSamplerTest, CountPresent) {
   std::vector<char> present{1, 0, 1, 1, 0};
   EXPECT_EQ(CountPresent(present), 3u);
+}
+
+TEST(WorldTest, PresentEdgesAreTheSetFlagsAfterPlainSampling) {
+  UncertainGraph g = MixedGraph();
+  Rng rng(11);
+  World world;
+  for (int s = 0; s < 200; ++s) {
+    SampleWorld(g, &rng, &world);
+    ASSERT_EQ(world.present().size(), g.num_edges());
+    ASSERT_EQ(PresentEdges(world), SetFlags(world.present())) << s;
+  }
+}
+
+TEST(WorldTest, PresentEdgesAreTheSetFlagsAfterSkipSampling) {
+  UncertainGraph g = MixedGraph();
+  SkipWorldSampler sampler(g);
+  Rng rng(12);
+  World world;
+  for (int s = 0; s < 200; ++s) {
+    sampler.Sample(&rng, &world);
+    ASSERT_EQ(world.present().size(), g.num_edges());
+    ASSERT_EQ(PresentEdges(world), SetFlags(world.present())) << s;
+  }
+}
+
+TEST(WorldTest, WorldFlagsMatchTheFlagOverloads) {
+  // The World overloads draw exactly what the flag overloads draw.
+  UncertainGraph g = MixedGraph();
+  SkipWorldSampler sampler(g);
+  Rng a(13), b(13);
+  World world;
+  std::vector<char> present;
+  for (int s = 0; s < 50; ++s) {
+    SampleWorld(g, &a, &world);
+    SampleWorld(g, &b, &present);
+    ASSERT_EQ(world.present(), present);
+    sampler.Sample(&a, &world);
+    sampler.Sample(&b, &present);
+    ASSERT_EQ(world.present(), present);
+  }
+}
+
+TEST(WorldTest, CompactKeepsEveryNonzeroFlagAtEveryLength) {
+  Rng rng(14);
+  World world;
+  for (std::size_t m = 0; m <= 40; ++m) {
+    for (int trial = 0; trial < 20; ++trial) {
+      world.present().resize(m);
+      for (char& flag : world.present()) {
+        // Mostly absent; present flags are 1, or any other nonzero byte.
+        const std::uint64_t r = rng.NextIndex(8);
+        flag = r < 5 ? 0 : (r == 5 ? 1 : (r == 6 ? 2 : -1));
+      }
+      world.Compact();
+      ASSERT_EQ(PresentEdges(world), SetFlags(world.present())) << m;
+    }
+  }
+  EXPECT_EQ(PresentEdges(World(std::vector<char>{0, 1, 0, 7})),
+            (std::vector<EdgeId>{1, 3}));
+}
+
+TEST(WorldAdjacencyTest, NeighborsAreThePresentNeighbors) {
+  UncertainGraph g = MixedGraph();
+  Rng rng(15);
+  World world;
+  WorldAdjacency adjacency;
+  for (int s = 0; s < 50; ++s) {
+    SampleWorld(g, &rng, &world);
+    adjacency.Build(g, world);
+    ASSERT_EQ(adjacency.num_vertices(), g.num_vertices());
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      std::vector<VertexId> expected;
+      for (const AdjacencyEntry& a : g.Neighbors(u)) {
+        if (world.present()[a.edge]) expected.push_back(a.neighbor);
+      }
+      std::vector<VertexId> got(adjacency.Neighbors(u).begin(),
+                                adjacency.Neighbors(u).end());
+      std::sort(got.begin(), got.end());
+      std::sort(expected.begin(), expected.end());
+      ASSERT_EQ(got, expected) << "vertex " << u << ", world " << s;
+    }
+  }
 }
 
 TEST(McSamplesTest, UnitMeanAllValid) {
