@@ -12,6 +12,7 @@
 #include "gen/datasets.h"
 #include "gen/generators.h"
 #include "query/pagerank.h"
+#include "query/reliability.h"
 #include "query/skip_sampler.h"
 #include "query/shortest_path.h"
 #include "query/world_sampler.h"
@@ -21,6 +22,7 @@
 #include "sparsify/lp_assign.h"
 #include "sparsify/sparsifier.h"
 #include "util/indexed_heap.h"
+#include "util/union_find.h"
 
 namespace {
 
@@ -219,6 +221,19 @@ void BM_TwitterSkipTables(benchmark::State& state) {
 }
 BENCHMARK(BM_TwitterSkipTables)->Unit(benchmark::kMicrosecond);
 
+/// A skip-sampled world's draws alone: the flags, no present-edge list.
+void BM_TwitterSkipFlags(benchmark::State& state) {
+  const ugs::UncertainGraph& g = TwitterStandIn();
+  const ugs::SkipWorldSampler sampler(g);
+  ugs::Rng rng(1);
+  std::vector<char> present;
+  for (auto _ : state) {
+    sampler.Sample(&rng, &present);
+    benchmark::DoNotOptimize(present.data());
+  }
+}
+BENCHMARK(BM_TwitterSkipFlags)->Unit(benchmark::kMicrosecond);
+
 /// One skip-sampled world, flags plus present-edge list.
 void BM_TwitterSkipWorld(benchmark::State& state) {
   const ugs::UncertainGraph& g = TwitterStandIn();
@@ -232,13 +247,18 @@ void BM_TwitterSkipWorld(benchmark::State& state) {
 }
 BENCHMARK(BM_TwitterSkipWorld)->Unit(benchmark::kMicrosecond);
 
-/// Present-list compaction alone: one branch-free scan of |E| flags.
+/// Present-list compaction alone: a popcount pass and a branch-free emit
+/// pass over |E| flags. Rotates over 16 worlds, as a run meets a new
+/// world every time; re-compacting one world would let the branch
+/// predictor learn its flags.
 void BM_TwitterCompactWorld(benchmark::State& state) {
   const ugs::UncertainGraph& g = TwitterStandIn();
   ugs::Rng rng(1);
-  ugs::World world;
-  ugs::SampleWorld(g, &rng, &world);
+  std::vector<ugs::World> worlds(16);
+  for (ugs::World& world : worlds) ugs::SampleWorld(g, &rng, &world);
+  std::size_t next = 0;
   for (auto _ : state) {
+    ugs::World& world = worlds[next++ % worlds.size()];
     world.Compact();
     benchmark::DoNotOptimize(world.present_edges().data());
   }
@@ -246,6 +266,23 @@ void BM_TwitterCompactWorld(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_TwitterCompactWorld)->Unit(benchmark::kMicrosecond);
+
+/// The reliability kernel's per-world work: union-find over the present
+/// edges of a skip-sampled world (16 in rotation, as above).
+void BM_TwitterConnectWorld(benchmark::State& state) {
+  const ugs::UncertainGraph& g = TwitterStandIn();
+  const ugs::SkipWorldSampler sampler(g);
+  ugs::Rng rng(1);
+  std::vector<ugs::World> worlds(16);
+  for (ugs::World& world : worlds) sampler.Sample(&rng, &world);
+  ugs::UnionFind uf(g.num_vertices());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    ugs::ConnectWorld(g, worlds[next++ % worlds.size()], &uf);
+    benchmark::DoNotOptimize(uf.num_components());
+  }
+}
+BENCHMARK(BM_TwitterConnectWorld)->Unit(benchmark::kMicrosecond);
 
 /// The shortest-path kernel's per-world work for 20 sources: compact the
 /// world's adjacency once, then 20 BFS over it.

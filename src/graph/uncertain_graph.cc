@@ -110,71 +110,84 @@ Status UncertainGraph::ApplyUpdates(std::span<const EdgeUpdate> updates) {
   const std::size_t n = num_vertices();
   // Stage the mutated edge list (materializing a view's edges if this
   // graph is mmap-backed) so a failing update leaves *this untouched.
+  // Deletes only tombstone their entry, and inserts append, so staged
+  // indices never move; the tombstones are dropped in one stable pass at
+  // commit, which leaves exactly the list that erasing each victim in
+  // place would have.
   std::vector<UncertainEdge> staged(edges_.begin(), edges_.end());
-  // (min,max) endpoint -> staged index, kept consistent across deletes.
+  std::vector<char> deleted(staged.size(), 0);
+  // Edges present before the batch are found through the CSR
+  // (FindEdge); only the batch's inserts are hashed, keyed by their
+  // (min,max) endpoints.
   auto key = [](VertexId a, VertexId b) {
     if (a > b) std::swap(a, b);
     return (static_cast<std::uint64_t>(a) << 32) | b;
   };
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(staged.size());
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    index[key(staged[i].u, staged[i].v)] = i;
-  }
+  std::unordered_map<std::uint64_t, EdgeId> inserted;
+  auto find = [&](VertexId a, VertexId b, std::uint64_t k) -> EdgeId {
+    if (auto it = inserted.find(k); it != inserted.end()) return it->second;
+    const EdgeId e = FindEdge(a, b);
+    return e != kInvalidEdge && deleted[e] == 0 ? e : kInvalidEdge;
+  };
   auto fail = [](std::size_t at, const std::string& why) {
     return Status::InvalidArgument("update[" + std::to_string(at) + "]: " +
                                    why);
   };
   for (std::size_t at = 0; at < updates.size(); ++at) {
     const EdgeUpdate& u = updates[at];
-    const std::string edge_name = "(" + std::to_string(u.u) + "," +
-                                  std::to_string(u.v) + ")";
+    // Named only on failure: a success builds no strings.
+    const auto edge_name = [&u] {
+      std::string name = "(";
+      name += std::to_string(u.u);
+      name += ',';
+      name += std::to_string(u.v);
+      return name + ')';
+    };
     if (u.u >= n || u.v >= n) {
-      return fail(at, "endpoint of " + edge_name + " out of range for " +
+      return fail(at, "endpoint of " + edge_name() + " out of range for " +
                           std::to_string(n) + " vertices");
     }
-    if (u.u == u.v) return fail(at, "self loop " + edge_name);
+    if (u.u == u.v) return fail(at, "self loop " + edge_name());
     const std::uint64_t k = key(u.u, u.v);
-    auto it = index.find(k);
+    const EdgeId found = find(u.u, u.v, k);
     switch (u.op) {
       case EdgeUpdateOp::kInsert:
-        if (it != index.end()) {
-          return fail(at, "edge " + edge_name + " already exists");
+        if (found != kInvalidEdge) {
+          return fail(at, "edge " + edge_name() + " already exists");
         }
         if (!(u.p > 0.0 && u.p <= 1.0)) {
           return fail(at, "probability must be in (0, 1]");
         }
-        index[k] = staged.size();
+        inserted[k] = static_cast<EdgeId>(staged.size());
         staged.push_back({u.u, u.v, u.p});
+        deleted.push_back(0);
         break;
-      case EdgeUpdateOp::kDelete: {
-        if (it == index.end()) {
-          return fail(at, "edge " + edge_name + " does not exist");
+      case EdgeUpdateOp::kDelete:
+        if (found == kInvalidEdge) {
+          return fail(at, "edge " + edge_name() + " does not exist");
         }
-        const std::size_t victim = it->second;
-        staged.erase(staged.begin() +
-                     static_cast<std::ptrdiff_t>(victim));
-        index.erase(it);
-        // Every edge past the victim shifted down one id.
-        for (auto& entry : index) {
-          if (entry.second > victim) --entry.second;
-        }
+        deleted[found] = 1;
+        inserted.erase(k);
         break;
-      }
       case EdgeUpdateOp::kReweight:
-        if (it == index.end()) {
-          return fail(at, "edge " + edge_name + " does not exist");
+        if (found == kInvalidEdge) {
+          return fail(at, "edge " + edge_name() + " does not exist");
         }
         if (!(u.p > 0.0 && u.p <= 1.0)) {
           return fail(at, "probability must be in (0, 1]");
         }
-        staged[it->second].p = u.p;
+        staged[found].p = u.p;
         break;
       default:
         return fail(at, "unknown op " +
                             std::to_string(static_cast<int>(u.op)));
     }
   }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    if (deleted[i] == 0) staged[kept++] = staged[i];
+  }
+  staged.resize(kept);
   // Commit: identical to FromEdges(n, staged), so the mutated graph is
   // bit-identical to a fresh load of the equivalent edge list.
   owned_edges_ = std::move(staged);

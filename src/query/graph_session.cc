@@ -23,7 +23,7 @@ GraphSession::GraphSession(UncertainGraph graph, GraphSessionOptions options)
       options_(options),
       stats_(ComputeStats(graph_)),
       engine_(WithSkipSampler(options.engine, false)),
-      skip_engine_(WithSkipSampler(options.engine, true), graph_) {}
+      skip_engine_(WithSkipSampler(options.engine, true), graph_, engine_) {}
 
 Result<std::unique_ptr<GraphSession>> GraphSession::Open(
     const std::string& path, GraphSessionOptions options) {

@@ -17,7 +17,9 @@ namespace ugs {
 /// Configuration of a GraphSession.
 struct GraphSessionOptions {
   /// Engine configuration shared by the session's plain and skip-sampler
-  /// engines. num_threads = 0 shares the process-wide default pool.
+  /// engines. num_threads = 0 shares the process-wide default pool;
+  /// otherwise the session owns one pool of num_threads threads, which
+  /// both engines dispatch to.
   SampleEngineOptions engine;
   /// Estimator auto-selection tunables.
   EstimatorPolicyOptions policy;
@@ -78,8 +80,9 @@ class GraphSession {
 
   /// The session's plain sampling engine (skip-sampler requests are
   /// routed to a twin engine with use_skip_sampler set, bound to this
-  /// session's graph: the skip sampler's tables are built on the first
-  /// skip request and shared by every later one).
+  /// session's graph and dispatching to this engine's pool: the skip
+  /// sampler's tables are built on the first skip request and shared by
+  /// every later one, and the session owns one pool, not two).
   const SampleEngine& engine() const { return engine_; }
 
   const GraphSessionOptions& options() const { return options_; }
@@ -116,7 +119,7 @@ class GraphSession {
   GraphSessionOptions options_;
   GraphStats stats_;
   SampleEngine engine_;
-  SampleEngine skip_engine_;
+  SampleEngine skip_engine_;  // Dispatches to engine_'s pool.
 };
 
 }  // namespace ugs

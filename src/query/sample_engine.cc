@@ -16,12 +16,16 @@ SampleEngine::SampleEngine(SampleEngineOptions options)
 }
 
 SampleEngine::SampleEngine(SampleEngineOptions options,
-                           const UncertainGraph& graph)
-    : SampleEngine(options) {
-  bound_ = std::make_unique<BoundSkipTables>(graph);
+                           const UncertainGraph& graph,
+                           const SampleEngine& pool_owner)
+    : options_(options),
+      pool_owner_(&pool_owner),
+      bound_(std::make_unique<BoundSkipTables>(graph)) {
+  UGS_CHECK(options_.batch_size > 0);
 }
 
 ThreadPool& SampleEngine::pool() const {
+  if (pool_owner_ != nullptr) return pool_owner_->pool();
   return owned_pool_ != nullptr ? *owned_pool_ : ThreadPool::Default();
 }
 

@@ -60,12 +60,16 @@ class SampleEngine {
  public:
   explicit SampleEngine(SampleEngineOptions options = {});
 
-  /// An engine bound to `graph` (which must outlive it): its skip-sampled
-  /// Runs over that graph share one set of SkipWorldSampler tables,
-  /// built on the first such Run. GraphSession binds its skip engine
-  /// this way, so a session that never takes a skip request never builds
-  /// them. Runs over any other graph behave as for an unbound engine.
-  SampleEngine(SampleEngineOptions options, const UncertainGraph& graph);
+  /// An engine bound to `graph` that dispatches to `pool_owner`'s pool
+  /// (both must outlive it; options.num_threads is ignored, so it owns
+  /// no threads of its own). Its skip-sampled Runs over that graph share
+  /// one set of SkipWorldSampler tables, built on the first such Run.
+  /// GraphSession binds its skip engine this way to its plain engine, so
+  /// a session that never takes a skip request never builds them, and
+  /// its two engines share one pool. Runs over any other graph behave as
+  /// for an unbound engine.
+  SampleEngine(SampleEngineOptions options, const UncertainGraph& graph,
+               const SampleEngine& pool_owner);
 
   /// Evaluates one sampled world: writes the query's per-unit results
   /// into row[0..num_units) and, when the query tracks conditioning,
@@ -125,7 +129,8 @@ class SampleEngine {
 
   SampleEngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;  // Only when num_threads > 0.
-  std::unique_ptr<BoundSkipTables> bound_;  // Only for bound engines.
+  const SampleEngine* pool_owner_ = nullptr;  // Only for bound engines.
+  std::unique_ptr<BoundSkipTables> bound_;    // Only for bound engines.
 };
 
 }  // namespace ugs

@@ -24,14 +24,22 @@ namespace ugs {
 /// The tables (buckets, acceptance ratios and each bucket's log1p(-c),
 /// the divisor of every geometric draw) are built once per graph: a
 /// GraphSession builds them on its first skip-sampled request and shares
-/// them with every later one. Measured on the Twitter stand-in (Release,
-/// one thread, 4-core 2.0 GHz shared container, ranges over repeated
-/// runs; bench_micro BM_Twitter* rows): the tables cost 1.1-1.6 ms to
-/// build; a skip-sampled world, flags plus present-edge list, costs
-/// 0.27-0.36 ms, against 0.18-0.31 ms for a plain one. Per world the two
-/// samplers cost about the same wall-clock -- the log() inside each
-/// geometric draw costs about what the saved uniforms did -- and a
-/// reliability world with union-find costs 0.39-0.47 ms either way.
+/// them with every later one.
+///
+/// Cost. The largest per-world cost was not the log() inside each
+/// geometric draw but the acceptance test: true with probability
+/// p_e / c, 0.5-0.9, it mispredicted thousands of times per world as a
+/// branch. Acceptance is therefore a straight store of the comparison,
+/// which is correct because every flag is zeroed first and then written
+/// at most once per world: the buckets partition the edges and a
+/// bucket's candidate index only increases. Measured on the Twitter stand-in (Release, one thread,
+/// 4-core 2.0 GHz shared container, medians of 5 repetitions, ranges
+/// over 3 runs; bench_micro BM_Twitter* rows): the tables cost 1.2-1.5
+/// ms to build; a world's draws cost 161-187 us (231-262 us with the
+/// acceptance branch), 202-257 us with its present-edge list (343-389
+/// us before), and union-find over its ~7,900 present edges another
+/// 64-76 us. A guarded fast log() was tried and drew bit-identical
+/// skips, but made a world slower, so std::log stays.
 ///
 /// Produces exactly the same per-edge inclusion distribution as
 /// SampleWorld (each edge independently present with p_e); the random
@@ -45,7 +53,8 @@ class SkipWorldSampler {
  public:
   explicit SkipWorldSampler(const UncertainGraph& graph);
 
-  /// Samples one world into `present` (resized to |E|).
+  /// Samples one world into `present` (resized to |E|; whatever it held
+  /// is overwritten).
   void Sample(Rng* rng, std::vector<char>* present) const;
 
   /// Same draws into a World's flags, then compacts its present-edge

@@ -28,24 +28,24 @@ void World::Compact() {
   const std::size_t m = present_.size();
   const std::size_t words_end = m - m % 8;
   const char* flags = present_.data();
-  // Eight flags per step, twice: count the present edges, size the list
-  // exactly, then emit their ids lowest first.
+  // Count the present edges eight flags per step, so the list is sized
+  // to them (never to |E|), then emit every id unconditionally and
+  // advance past it only when present: no branch on the flags, so no
+  // misprediction on each word's variable bit count. The one spare slot
+  // takes the store past the last present edge.
   std::size_t count = 0;
   for (std::size_t e = 0; e < words_end; e += 8) {
     count += std::popcount(NonzeroBytes(flags + e));
   }
   for (std::size_t e = words_end; e < m; ++e) count += flags[e] != 0;
-  ids_.resize(count);
+  ids_.resize(count + 1);
   EdgeId* out = ids_.data();
-  for (std::size_t e = 0; e < words_end; e += 8) {
-    for (std::uint64_t bits = NonzeroBytes(flags + e); bits != 0;
-         bits &= bits - 1) {
-      *out++ = static_cast<EdgeId>(e + (std::countr_zero(bits) >> 3));
-    }
+  std::size_t n = 0;
+  for (std::size_t e = 0; e < m; ++e) {
+    out[n] = static_cast<EdgeId>(e);
+    n += flags[e] != 0;
   }
-  for (std::size_t e = words_end; e < m; ++e) {
-    if (flags[e] != 0) *out++ = static_cast<EdgeId>(e);
-  }
+  ids_.resize(count);
 }
 
 void SampleWorld(const UncertainGraph& graph, Rng* rng,

@@ -30,7 +30,9 @@ class World {
   /// Ascending ids of the present edges, as of the last Compact().
   std::span<const EdgeId> present_edges() const { return ids_; }
 
-  /// Re-derives present_edges() from the flags, eight flags per step.
+  /// Re-derives present_edges() from the flags: a popcount pass sizes
+  /// the list, a branch-free pass fills it. Any nonzero flag byte counts
+  /// as present.
   void Compact();
 
  private:

@@ -1,34 +1,13 @@
 #include "util/union_find.h"
 
+#include <algorithm>
 #include <numeric>
-
-#include "util/check.h"
 
 namespace ugs {
 
 UnionFind::UnionFind(std::size_t n)
     : parent_(n), size_(n, 1), num_components_(n) {
   std::iota(parent_.begin(), parent_.end(), 0u);
-}
-
-std::uint32_t UnionFind::Find(std::uint32_t x) {
-  UGS_DCHECK(x < parent_.size());
-  while (parent_[x] != x) {
-    parent_[x] = parent_[parent_[x]];  // Path halving.
-    x = parent_[x];
-  }
-  return x;
-}
-
-bool UnionFind::Union(std::uint32_t a, std::uint32_t b) {
-  std::uint32_t ra = Find(a);
-  std::uint32_t rb = Find(b);
-  if (ra == rb) return false;
-  if (size_[ra] < size_[rb]) std::swap(ra, rb);
-  parent_[rb] = ra;
-  size_[ra] += size_[rb];
-  --num_components_;
-  return true;
 }
 
 std::uint32_t UnionFind::ComponentSize(std::uint32_t x) {

@@ -2,7 +2,10 @@
 #define UGS_UTIL_UNION_FIND_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "util/check.h"
 
 namespace ugs {
 
@@ -16,11 +19,31 @@ class UnionFind {
   /// Creates n singleton sets {0}, {1}, ..., {n-1}.
   explicit UnionFind(std::size_t n);
 
+  // Find and Union are defined here so the per-world connectivity loop
+  // (ConnectWorld) and the backbone's spanning-forest peeling inline
+  // them.
+
   /// Returns the representative of x's set.
-  std::uint32_t Find(std::uint32_t x);
+  std::uint32_t Find(std::uint32_t x) {
+    UGS_DCHECK(x < parent_.size());
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // Path halving.
+      x = parent_[x];
+    }
+    return x;
+  }
 
   /// Merges the sets of a and b; returns true iff they were distinct.
-  bool Union(std::uint32_t a, std::uint32_t b);
+  bool Union(std::uint32_t a, std::uint32_t b) {
+    std::uint32_t ra = Find(a);
+    std::uint32_t rb = Find(b);
+    if (ra == rb) return false;
+    if (size_[ra] < size_[rb]) std::swap(ra, rb);
+    parent_[rb] = ra;
+    size_[ra] += size_[rb];
+    --num_components_;
+    return true;
+  }
 
   /// True iff a and b are in the same set.
   bool Connected(std::uint32_t a, std::uint32_t b) {

@@ -1,5 +1,6 @@
 #include "query/graph_session.h"
 
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -8,6 +9,7 @@
 
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
+#include "util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace ugs {
@@ -298,6 +300,72 @@ TEST(GraphSessionTest, KnnAndMostProbablePathIdenticalAtEngineWidths1_2_8) {
       EXPECT_EQ(mpp_result->paths[i].vertices, first_paths[i].vertices);
       EXPECT_EQ(mpp_result->paths[i].probability, first_paths[i].probability)
           << "width " << width;
+    }
+  }
+}
+
+/// Threads of this process, one /proc/self/task entry each.
+std::size_t ProcessThreads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(GraphSessionTest, SkipEngineSharesThePlainEnginesPool) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  ThreadPool::Default();  // Exists before counting, whoever starts it.
+  const UncertainGraph g = testing_util::PathGraph(16, 0.15);
+  std::vector<QueryRequest> requests;
+  for (const char* query : {"reliability", "connectivity", "pagerank"}) {
+    QueryRequest request;
+    request.query = query;
+    if (request.query == "reliability") request.pairs = {{0, 15}, {2, 5}};
+    request.num_samples = 96;
+    request.seed = 21;
+    request.estimator = Estimator::kSkipSampler;
+    requests.push_back(request);
+  }
+  QueryRequest plain = requests[0];
+  plain.estimator = Estimator::kSampled;
+  requests.push_back(plain);
+
+  // One pool of num_threads for both engines: num_threads - 1 workers,
+  // before and after plain and skip requests ran on it.
+  {
+    const std::size_t before = ProcessThreads();
+    GraphSessionOptions options;
+    options.engine.num_threads = 4;
+    GraphSession session(g, options);
+    EXPECT_EQ(ProcessThreads(), before + 3);
+    for (const QueryRequest& request : requests) {
+      ASSERT_TRUE(session.Run(request).ok()) << request.query;
+    }
+    EXPECT_EQ(ProcessThreads(), before + 3);
+  }
+
+  std::vector<QueryResult> first;
+  for (int width : {1, 2, 8}) {
+    GraphSessionOptions options;
+    options.engine.num_threads = width;
+    GraphSession session(g, options);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      Result<QueryResult> result = session.Run(requests[i]);
+      ASSERT_TRUE(result.ok()) << requests[i].query;
+      if (width == 1) {
+        first.push_back(std::move(result).value());
+        continue;
+      }
+      EXPECT_TRUE(result->samples == first[i].samples)
+          << requests[i].query << " width " << width;
+      EXPECT_EQ(result->means, first[i].means)
+          << requests[i].query << " width " << width;
+      EXPECT_EQ(result->scalar, first[i].scalar)
+          << requests[i].query << " width " << width;
     }
   }
 }

@@ -218,6 +218,132 @@ void ApplyToModel(const EdgeUpdate& update,
   }
 }
 
+/// Every CSR array of `graph` equals the one FromEdges builds from
+/// `edges`: the version-equivalence contract, array by array.
+void ExpectMatchesFromEdges(const UncertainGraph& graph,
+                            const std::vector<UncertainEdge>& edges) {
+  const UncertainGraph expected =
+      UncertainGraph::FromEdges(graph.num_vertices(), edges);
+  const CsrArrays got = graph.csr_arrays();
+  const CsrArrays want = expected.csr_arrays();
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (std::size_t e = 0; e < want.edges.size(); ++e) {
+    EXPECT_EQ(got.edges[e].u, want.edges[e].u) << "edge " << e;
+    EXPECT_EQ(got.edges[e].v, want.edges[e].v) << "edge " << e;
+    EXPECT_EQ(got.edges[e].p, want.edges[e].p) << "edge " << e;
+  }
+  ASSERT_EQ(got.degree_offsets.size(), want.degree_offsets.size());
+  for (std::size_t i = 0; i < want.degree_offsets.size(); ++i) {
+    EXPECT_EQ(got.degree_offsets[i], want.degree_offsets[i]) << "offset " << i;
+  }
+  ASSERT_EQ(got.adjacency.size(), want.adjacency.size());
+  for (std::size_t i = 0; i < want.adjacency.size(); ++i) {
+    EXPECT_EQ(got.adjacency[i].neighbor, want.adjacency[i].neighbor)
+        << "adjacency " << i;
+    EXPECT_EQ(got.adjacency[i].edge, want.adjacency[i].edge)
+        << "adjacency " << i;
+  }
+  ASSERT_EQ(got.expected_degrees.size(), want.expected_degrees.size());
+  for (std::size_t u = 0; u < want.expected_degrees.size(); ++u) {
+    EXPECT_EQ(got.expected_degrees[u], want.expected_degrees[u])
+        << "vertex " << u;
+  }
+}
+
+TEST(ApplyUpdatesTest, DeletedAndReinsertedEdgesMatchReplayedList) {
+  // Deletes inside a batch only mark their entry; these sequences make
+  // later updates of the same batch find, miss or re-add marked edges.
+  UncertainGraph graph = CompleteK4(0.5);
+  std::vector<UncertainEdge> model(graph.edges().begin(),
+                                   graph.edges().end());
+  const std::vector<EdgeUpdate> batch = {
+      {EdgeUpdateOp::kInsert, 0, 4, 0.3},    // Vertex 4 was isolated.
+      {EdgeUpdateOp::kDelete, 4, 0, 0.0},    // Delete the just-inserted.
+      {EdgeUpdateOp::kDelete, 1, 2, 0.0},    // Delete an original edge...
+      {EdgeUpdateOp::kInsert, 2, 1, 0.7},    // ...and reinsert it.
+      {EdgeUpdateOp::kReweight, 1, 2, 0.6},  // Reweight the reinserted.
+      {EdgeUpdateOp::kDelete, 0, 1, 0.0},    // First edge: later ids move.
+      {EdgeUpdateOp::kInsert, 0, 4, 0.9},    // Reinsert the deleted insert.
+      {EdgeUpdateOp::kReweight, 3, 2, 0.2},  // An untouched original.
+      {EdgeUpdateOp::kDelete, 2, 1, 0.0},    // Delete the reinserted...
+      {EdgeUpdateOp::kInsert, 1, 2, 0.4},    // ...and insert it again.
+  };
+  UncertainGraph five = UncertainGraph::FromEdges(5, model);
+  for (const EdgeUpdate& update : batch) ApplyToModel(update, &model);
+  ASSERT_TRUE(five.ApplyUpdates(batch).ok());
+  ExpectMatchesFromEdges(five, model);
+  EXPECT_EQ(five.num_edges(), 6u);
+  EXPECT_EQ(five.FindEdge(0, 1), kInvalidEdge);
+  EXPECT_EQ(five.probability(five.FindEdge(1, 2)), 0.4);
+  EXPECT_EQ(five.probability(five.FindEdge(0, 4)), 0.9);
+
+  // Within the batch, a deleted edge is gone (reweight and delete fail)
+  // and a deleted-then-reinserted one is present (insert fails).
+  EXPECT_FALSE(graph
+                   .ApplyUpdates({{{EdgeUpdateOp::kDelete, 0, 1, 0.0},
+                                   {EdgeUpdateOp::kReweight, 1, 0, 0.5}}})
+                   .ok());
+  EXPECT_FALSE(graph
+                   .ApplyUpdates({{{EdgeUpdateOp::kDelete, 0, 1, 0.0},
+                                   {EdgeUpdateOp::kDelete, 0, 1, 0.0}}})
+                   .ok());
+  EXPECT_FALSE(graph
+                   .ApplyUpdates({{{EdgeUpdateOp::kDelete, 0, 1, 0.0},
+                                   {EdgeUpdateOp::kInsert, 0, 1, 0.5},
+                                   {EdgeUpdateOp::kInsert, 1, 0, 0.5}}})
+                   .ok());
+  const UncertainGraph pristine = CompleteK4(0.5);
+  ExpectMatchesFromEdges(graph,
+                         std::vector<UncertainEdge>(pristine.edges().begin(),
+                                                    pristine.edges().end()));
+}
+
+TEST(ApplyUpdatesTest, RandomMixedBatchesMatchReplayedList) {
+  // Long mixed batches on a denser graph: each update is drawn against
+  // the batch's own running state, so batches keep deleting edges they
+  // inserted, reinserting edges they deleted and reweighting both.
+  constexpr std::size_t kVertices = 12;
+  std::mt19937_64 rng(20261019);
+  std::vector<UncertainEdge> model;
+  for (VertexId u = 0; u < kVertices; ++u) {
+    for (VertexId v = u + 1; v < kVertices; ++v) {
+      if (rng() % 2 == 0) model.push_back({u, v, 0.5});
+    }
+  }
+  UncertainGraph graph = UncertainGraph::FromEdges(kVertices, model);
+  const auto random_p = [&rng] {
+    return std::uniform_real_distribution<double>(0.05, 1.0)(rng);
+  };
+  for (int batch_index = 0; batch_index < 40; ++batch_index) {
+    std::vector<EdgeUpdate> batch;
+    const std::size_t batch_size = 1 + rng() % 24;
+    while (batch.size() < batch_size) {
+      EdgeUpdate update;
+      update.u = static_cast<VertexId>(rng() % kVertices);
+      update.v = static_cast<VertexId>(rng() % kVertices);
+      if (update.u == update.v) continue;
+      bool exists = false;
+      for (const UncertainEdge& e : model) {
+        exists |= (e.u == update.u && e.v == update.v) ||
+                  (e.u == update.v && e.v == update.u);
+      }
+      if (!exists) {
+        update.op = EdgeUpdateOp::kInsert;
+        update.p = random_p();
+      } else if (rng() % 2 == 0) {
+        update.op = EdgeUpdateOp::kDelete;
+      } else {
+        update.op = EdgeUpdateOp::kReweight;
+        update.p = random_p();
+      }
+      batch.push_back(update);
+      ApplyToModel(update, &model);
+    }
+    ASSERT_TRUE(graph.ApplyUpdates(batch).ok()) << "batch " << batch_index;
+    ExpectMatchesFromEdges(graph, model);
+  }
+}
+
 TEST(VersionEquivalenceTest, RandomMutationSequenceMatchesFreshLoad) {
   // The property: after ANY sequence of update batches, every query on
   // the chained WithUpdates session is bit-identical to the same query

@@ -1,6 +1,8 @@
 #include "query/skip_sampler.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +100,52 @@ TEST(FastSamplerTest, EmptyGraph) {
   std::vector<char> present;
   sampler.Sample(&rng, &present);
   EXPECT_TRUE(present.empty());
+}
+
+TEST(FastSamplerTest, ReusedBuffersMatchAFreshWorld) {
+  // Acceptance stores each candidate's flag outright, so the sampler's
+  // zeroing pass is all that clears what an earlier world left: a World
+  // or flag buffer left denser, all ones, or all 0xFF must come out
+  // exactly as a fresh one (so must one sized for a larger graph).
+  std::vector<UncertainEdge> edges;
+  constexpr double kP[] = {0.0, 0.01, 0.04, 0.08, 0.15, 0.3, 0.5, 0.9, 1.0};
+  for (VertexId u = 0; u < 12; ++u) {
+    for (VertexId v = u + 1; v < 12; ++v) {
+      edges.push_back({u, v, kP[edges.size() % 9]});
+    }
+  }
+  const UncertainGraph g = UncertainGraph::FromEdges(12, edges);
+  for (UncertainEdge& e : edges) e.p = 0.95;
+  const UncertainGraph dense = UncertainGraph::FromEdges(12, edges);
+  const SkipWorldSampler sampler(g);
+  const SkipWorldSampler dense_sampler(dense);
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    World fresh;
+    Rng fresh_rng(seed);
+    sampler.Sample(&fresh_rng, &fresh);
+
+    World after_dense;
+    Rng dense_rng(seed + 1000);
+    dense_sampler.Sample(&dense_rng, &after_dense);
+    World all_ones(std::vector<char>(g.num_edges(), 1));
+    World all_ff(std::vector<char>(g.num_edges(), static_cast<char>(0xff)));
+    World longer(std::vector<char>(3 * g.num_edges(), 1));
+    for (World* reused : {&after_dense, &all_ones, &all_ff, &longer}) {
+      Rng rng(seed);
+      sampler.Sample(&rng, reused);
+      ASSERT_EQ(reused->present(), fresh.present()) << "seed " << seed;
+      ASSERT_TRUE(std::equal(reused->present_edges().begin(),
+                             reused->present_edges().end(),
+                             fresh.present_edges().begin(),
+                             fresh.present_edges().end()))
+          << "seed " << seed;
+    }
+
+    std::vector<char> flags(g.num_edges(), static_cast<char>(0xff));
+    Rng rng(seed);
+    sampler.Sample(&rng, &flags);
+    ASSERT_EQ(flags, fresh.present()) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -136,6 +136,49 @@ TEST(WorldTest, CompactKeepsEveryNonzeroFlagAtEveryLength) {
             (std::vector<EdgeId>{1, 3}));
 }
 
+TEST(WorldTest, CompactTreatsEveryNonzeroByteAsPresent) {
+  // 0x80 sets only the high bit, which the eight-at-a-time count must
+  // still see; 0xFF is a negative char.
+  for (const char value : {static_cast<char>(0x01), static_cast<char>(0x80),
+                           static_cast<char>(0xff)}) {
+    for (std::size_t m : {1u, 7u, 8u, 9u, 16u, 45u}) {
+      World world;
+      world.present().assign(m, 0);
+      for (std::size_t e = 0; e < m; e += 3) world.present()[e] = value;
+      world.Compact();
+      ASSERT_EQ(PresentEdges(world), SetFlags(world.present()))
+          << "value " << int{value} << ", length " << m;
+      world.present().assign(m, value);
+      world.Compact();
+      ASSERT_EQ(world.present_edges().size(), m)
+          << "value " << int{value} << ", length " << m;
+      ASSERT_EQ(PresentEdges(world), SetFlags(world.present()));
+    }
+  }
+}
+
+TEST(WorldTest, OneWorldReusedDenseSparseDense) {
+  // The list keeps its capacity across worlds; each Compact must size it
+  // to the current world alone.
+  const std::size_t m = 45;
+  World world;
+  const std::vector<char> dense(m, 1);
+  std::vector<char> sparse(m, 0);
+  sparse[3] = 1;
+  sparse[44] = 1;
+  for (const std::vector<char>& flags : {dense, sparse, dense, sparse}) {
+    world.present() = flags;
+    world.Compact();
+    ASSERT_EQ(PresentEdges(world), SetFlags(flags));
+  }
+  world.present().assign(m, 0);
+  world.Compact();
+  EXPECT_TRUE(world.present_edges().empty());
+  world.present() = dense;
+  world.Compact();
+  EXPECT_EQ(PresentEdges(world), SetFlags(dense));
+}
+
 TEST(WorldAdjacencyTest, NeighborsAreThePresentNeighbors) {
   UncertainGraph g = MixedGraph();
   Rng rng(15);
