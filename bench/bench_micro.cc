@@ -48,11 +48,12 @@ const ugs::UncertainGraph& BenchGraph(std::size_t n, double avg_degree) {
 void BM_SampleWorld(benchmark::State& state) {
   const ugs::UncertainGraph& g =
       BenchGraph(static_cast<std::size_t>(state.range(0)), 16.0);
+  const ugs::PlainWorldSampler sampler(g);
   ugs::Rng rng(1);
-  std::vector<char> present;
+  ugs::World world;
   for (auto _ : state) {
-    ugs::SampleWorld(g, &rng, &present);
-    benchmark::DoNotOptimize(present.data());
+    sampler.Sample(&rng, &world);
+    benchmark::DoNotOptimize(world.present_edges().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.num_edges()));
@@ -82,10 +83,10 @@ void BM_SkipSampleWorld(benchmark::State& state) {
   const ugs::UncertainGraph& g = it->second;
   ugs::SkipWorldSampler sampler(g);
   ugs::Rng rng(1);
-  std::vector<char> present;
+  ugs::World world;
   for (auto _ : state) {
-    sampler.Sample(&rng, &present);
-    benchmark::DoNotOptimize(present.data());
+    sampler.Sample(&rng, &world);
+    benchmark::DoNotOptimize(world.present_edges().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.num_edges()));
@@ -221,20 +222,32 @@ void BM_TwitterSkipTables(benchmark::State& state) {
 }
 BENCHMARK(BM_TwitterSkipTables)->Unit(benchmark::kMicrosecond);
 
-/// A skip-sampled world's draws alone: the flags, no present-edge list.
-void BM_TwitterSkipFlags(benchmark::State& state) {
+/// Plain-sampler table construction: paid once per GraphSession.
+void BM_TwitterPlainTables(benchmark::State& state) {
   const ugs::UncertainGraph& g = TwitterStandIn();
-  const ugs::SkipWorldSampler sampler(g);
-  ugs::Rng rng(1);
-  std::vector<char> present;
   for (auto _ : state) {
-    sampler.Sample(&rng, &present);
-    benchmark::DoNotOptimize(present.data());
+    ugs::PlainWorldSampler sampler(g);
+    benchmark::DoNotOptimize(&sampler);
   }
 }
-BENCHMARK(BM_TwitterSkipFlags)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TwitterPlainTables)->Unit(benchmark::kMicrosecond);
 
-/// One skip-sampled world, flags plus present-edge list.
+/// One plain-sampled world (one draw per edge), bits plus present-edge
+/// list.
+void BM_TwitterPlainWorld(benchmark::State& state) {
+  const ugs::UncertainGraph& g = TwitterStandIn();
+  const ugs::PlainWorldSampler sampler(g);
+  ugs::Rng rng(1);
+  ugs::World world;
+  for (auto _ : state) {
+    sampler.Sample(&rng, &world);
+    benchmark::DoNotOptimize(world.present_edges().data());
+  }
+}
+BENCHMARK(BM_TwitterPlainWorld)->Unit(benchmark::kMicrosecond);
+
+/// One skip-sampled world, bits plus present-edge list. Its draws alone
+/// are this row minus BM_TwitterCompactWorld.
 void BM_TwitterSkipWorld(benchmark::State& state) {
   const ugs::UncertainGraph& g = TwitterStandIn();
   const ugs::SkipWorldSampler sampler(g);
@@ -247,10 +260,10 @@ void BM_TwitterSkipWorld(benchmark::State& state) {
 }
 BENCHMARK(BM_TwitterSkipWorld)->Unit(benchmark::kMicrosecond);
 
-/// Present-list compaction alone: a popcount pass and a branch-free emit
-/// pass over |E| flags. Rotates over 16 worlds, as a run meets a new
-/// world every time; re-compacting one world would let the branch
-/// predictor learn its flags.
+/// Present-list compaction alone: a popcount pass over the |E| / 64
+/// presence words, then a count-trailing-zeros emit per word. Rotates
+/// over 16 worlds, as a run meets a new world every time; re-compacting
+/// one world would let the branch predictor learn its bits.
 void BM_TwitterCompactWorld(benchmark::State& state) {
   const ugs::UncertainGraph& g = TwitterStandIn();
   ugs::Rng rng(1);
@@ -284,21 +297,26 @@ void BM_TwitterConnectWorld(benchmark::State& state) {
 }
 BENCHMARK(BM_TwitterConnectWorld)->Unit(benchmark::kMicrosecond);
 
-/// The shortest-path kernel's per-world work for 20 sources: compact the
-/// world's adjacency once, then 20 BFS over it.
+/// The shortest-path kernel's per-world work for 20 pairs: compact the
+/// world's adjacency once, then one BFS per pair that stops at its
+/// target.
 void BM_TwitterCompactedBfs20(benchmark::State& state) {
   const ugs::UncertainGraph& g = TwitterStandIn();
   ugs::Rng rng(1);
   ugs::World world;
   ugs::SampleWorld(g, &rng, &world);
+  const std::vector<ugs::VertexPair> pairs =
+      ugs::SampleDistinctPairs(g.num_vertices(), 20, &rng);
   ugs::WorldAdjacency adjacency;
-  std::vector<int> dist;
+  ugs::BfsScratch bfs;
   for (auto _ : state) {
     adjacency.Build(g, world);
-    for (ugs::VertexId source = 0; source < 20; ++source) {
-      ugs::BfsOnWorld(adjacency, source * 97, &dist);
+    int sum = 0;
+    for (const ugs::VertexPair& pair : pairs) {
+      ugs::BfsOnWorld(adjacency, pair.s, {&pair.t, 1}, &bfs);
+      sum += bfs.dist[pair.t];
     }
-    benchmark::DoNotOptimize(dist.data());
+    benchmark::DoNotOptimize(sum);
   }
 }
 BENCHMARK(BM_TwitterCompactedBfs20)->Unit(benchmark::kMicrosecond);

@@ -55,6 +55,7 @@ void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
                          const std::function<ChunkVisitor()>& factory,
                          double* out, ThreadPool& pool) {
   const std::size_t m = graph.num_edges();
+  static_assert(kMaxExactEdges < 64, "an enumerated world is one word");
   UGS_CHECK_LE(m, kMaxExactEdges);
   const std::uint64_t worlds = 1ULL << m;
   const std::uint64_t chunk = std::min(worlds, kWorldChunk);
@@ -70,8 +71,8 @@ void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
 
   pool.ParallelFor(num_chunks, [&](std::size_t c) {
     ChunkVisitor visit = factory();
-    World world(std::vector<char>(m, 0));
-    std::vector<char>& present = world.present();
+    World world;
+    world.Reset(m);
     double* acc = partial.data() + c * k;
     const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk;
     const std::uint64_t end = std::min(begin + chunk, worlds);
@@ -79,10 +80,11 @@ void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
       double probability = 1.0;
       for (std::size_t e = 0; e < m; ++e) {
         bool on = (mask >> e) & 1ULL;
-        present[e] = on ? 1 : 0;
         probability *= on ? probabilities[e] : (1.0 - probabilities[e]);
       }
       if (probability > 0.0) {
+        // The mask is the world's one presence word.
+        if (m > 0) world.words()[0] = mask;
         world.Compact();
         visit(world, probability, acc);
       }
@@ -163,14 +165,14 @@ double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
       [&graph, s, t]() -> ChunkVisitor {
         struct Scratch {
           WorldAdjacency adjacency;
-          std::vector<int> dist;
+          BfsScratch bfs;
         };
         auto scratch = std::make_shared<Scratch>();
         return [&graph, scratch, s, t](const World& world, double prob,
                                        double* a) {
           scratch->adjacency.Build(graph, world);
-          BfsOnWorld(scratch->adjacency, s, &scratch->dist);
-          const int d = scratch->dist[t];
+          BfsOnWorld(scratch->adjacency, s, {&t, 1}, &scratch->bfs);
+          const int d = scratch->bfs.dist[t];
           if (d != kUnreachable) {
             a[0] += prob;
             a[1] += prob * static_cast<double>(d);

@@ -22,8 +22,8 @@ GraphSession::GraphSession(UncertainGraph graph, GraphSessionOptions options)
     : graph_(std::move(graph)),
       options_(options),
       stats_(ComputeStats(graph_)),
-      engine_(WithSkipSampler(options.engine, false)),
-      skip_engine_(WithSkipSampler(options.engine, true), graph_, engine_) {}
+      engine_(WithSkipSampler(options.engine, false), graph_),
+      skip_engine_(WithSkipSampler(options.engine, true), graph_, &engine_) {}
 
 Result<std::unique_ptr<GraphSession>> GraphSession::Open(
     const std::string& path, GraphSessionOptions options) {

@@ -43,8 +43,8 @@ struct GraphSessionOptions {
 
 /// The serving facade of the query layer: owns one loaded UncertainGraph
 /// together with the per-graph state every request needs (cached stats,
-/// a plain and a skip-sampler SampleEngine, the skip sampler's tables
-/// once a request needs them), and executes QueryRequests
+/// a plain and a skip-sampler SampleEngine, each sampler's tables once
+/// a request needs them), and executes QueryRequests
 /// through the query registry under the estimator-selection policy.
 ///
 ///   auto session = ugs::GraphSession::Open("graph.txt");
@@ -62,7 +62,7 @@ class GraphSession {
  public:
   explicit GraphSession(UncertainGraph graph, GraphSessionOptions options = {});
 
-  // The skip engine is bound to graph_'s address.
+  // Both engines are bound to graph_'s address.
   GraphSession(const GraphSession&) = delete;
   GraphSession& operator=(const GraphSession&) = delete;
 
@@ -78,11 +78,12 @@ class GraphSession {
   /// Graph statistics, computed once at session construction.
   const GraphStats& stats() const { return stats_; }
 
-  /// The session's plain sampling engine (skip-sampler requests are
-  /// routed to a twin engine with use_skip_sampler set, bound to this
-  /// session's graph and dispatching to this engine's pool: the skip
-  /// sampler's tables are built on the first skip request and shared by
-  /// every later one, and the session owns one pool, not two).
+  /// The session's plain sampling engine, bound to this session's graph
+  /// (skip-sampler requests are routed to a twin engine with
+  /// use_skip_sampler set, bound to the same graph and dispatching to
+  /// this engine's pool: each sampler's tables are built on the first
+  /// request of its kind and shared by every later one, and the session
+  /// owns one pool, not two).
   const SampleEngine& engine() const { return engine_; }
 
   const GraphSessionOptions& options() const { return options_; }

@@ -108,13 +108,13 @@ WorldQueryFactory DistanceFactory(const UncertainGraph& graph, VertexId s,
   return [&graph, s, t, distance]() -> WorldQuery {
     struct Scratch {
       WorldAdjacency adjacency;
-      std::vector<int> dist;
+      BfsScratch bfs;
     };
     auto scratch = std::make_shared<Scratch>();
     return [&graph, scratch, s, t, distance](const World& world) {
       scratch->adjacency.Build(graph, world);
-      BfsOnWorld(scratch->adjacency, s, &scratch->dist);
-      int d = scratch->dist[t];
+      BfsOnWorld(scratch->adjacency, s, {&t, 1}, &scratch->bfs);
+      int d = scratch->bfs.dist[t];
       if (d == kUnreachable) return 0.0;
       return distance ? static_cast<double>(d) : 1.0;
     };

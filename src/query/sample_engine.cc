@@ -1,7 +1,6 @@
 #include "query/sample_engine.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "util/check.h"
 
@@ -17,11 +16,31 @@ SampleEngine::SampleEngine(SampleEngineOptions options)
 
 SampleEngine::SampleEngine(SampleEngineOptions options,
                            const UncertainGraph& graph,
-                           const SampleEngine& pool_owner)
+                           const SampleEngine* pool_owner)
     : options_(options),
-      pool_owner_(&pool_owner),
-      bound_(std::make_unique<BoundSkipTables>(graph)) {
+      pool_owner_(pool_owner),
+      bound_(std::make_unique<BoundTables>(graph)) {
   UGS_CHECK(options_.batch_size > 0);
+  if (pool_owner_ == nullptr && options_.num_threads > 0) {
+    owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  }
+}
+
+void SampleEngine::Tables::Build(const UncertainGraph& graph,
+                                 bool use_skip) {
+  if (use_skip) {
+    skip.emplace(graph);
+  } else {
+    plain.emplace(graph);
+  }
+}
+
+void SampleEngine::Tables::Sample(Rng* rng, World* world) const {
+  if (skip.has_value()) {
+    skip->Sample(rng, world);
+  } else {
+    plain->Sample(rng, world);
+  }
 }
 
 ThreadPool& SampleEngine::pool() const {
@@ -57,16 +76,15 @@ McSamples SampleEngine::Run(const UncertainGraph& graph,
   const std::size_t total = out.num_samples;
   const std::size_t num_batches = (total + batch - 1) / batch;
 
-  const SkipWorldSampler* skip = nullptr;
-  std::optional<SkipWorldSampler> run_tables;
-  if (options_.use_skip_sampler) {
-    if (bound_ != nullptr && bound_->graph == &graph) {
-      std::call_once(bound_->once,
-                     [this] { bound_->sampler.emplace(*bound_->graph); });
-      skip = &*bound_->sampler;
-    } else {
-      skip = &run_tables.emplace(graph);
-    }
+  Tables run_tables;
+  const Tables* tables = &run_tables;
+  if (bound_ != nullptr && bound_->graph == &graph) {
+    std::call_once(bound_->once, [this] {
+      bound_->tables.Build(*bound_->graph, options_.use_skip_sampler);
+    });
+    tables = &bound_->tables;
+  } else {
+    run_tables.Build(graph, options_.use_skip_sampler);
   }
 
   double* values = out.values.data();
@@ -78,11 +96,7 @@ McSamples SampleEngine::Run(const UncertainGraph& graph,
     const std::size_t end = std::min(begin + batch, total);
     for (std::size_t s = begin; s < end; ++s) {
       Rng sample_rng = SampleRng(base, s);
-      if (skip != nullptr) {
-        skip->Sample(&sample_rng, &world);
-      } else {
-        SampleWorld(graph, &sample_rng, &world);
-      }
+      tables->Sample(&sample_rng, &world);
       eval(world, values + s * num_units,
            valid != nullptr ? valid + s * num_units : nullptr);
     }

@@ -60,16 +60,17 @@ class SampleEngine {
  public:
   explicit SampleEngine(SampleEngineOptions options = {});
 
-  /// An engine bound to `graph` that dispatches to `pool_owner`'s pool
-  /// (both must outlive it; options.num_threads is ignored, so it owns
-  /// no threads of its own). Its skip-sampled Runs over that graph share
-  /// one set of SkipWorldSampler tables, built on the first such Run.
-  /// GraphSession binds its skip engine this way to its plain engine, so
-  /// a session that never takes a skip request never builds them, and
-  /// its two engines share one pool. Runs over any other graph behave as
-  /// for an unbound engine.
+  /// An engine bound to `graph` (which must outlive it): its Runs over
+  /// that graph share one set of sampler tables (PlainWorldSampler's, or
+  /// SkipWorldSampler's under use_skip_sampler), built on the first such
+  /// Run; Runs over any other graph behave as for an unbound engine. With
+  /// a `pool_owner` (which must outlive it) it dispatches to that
+  /// engine's pool and options.num_threads is ignored, so it owns no
+  /// threads of its own. GraphSession binds both its engines to its
+  /// graph, the skip engine to the plain engine's pool: a session builds
+  /// each table on its first request of that kind, and owns one pool.
   SampleEngine(SampleEngineOptions options, const UncertainGraph& graph,
-               const SampleEngine& pool_owner);
+               const SampleEngine* pool_owner = nullptr);
 
   /// Evaluates one sampled world: writes the query's per-unit results
   /// into row[0..num_units) and, when the query tracks conditioning,
@@ -119,18 +120,28 @@ class SampleEngine {
   static Rng SampleRng(std::uint64_t base, std::uint64_t index);
 
  private:
-  /// Skip tables of the bound graph, built at most once.
-  struct BoundSkipTables {
-    explicit BoundSkipTables(const UncertainGraph& g) : graph(&g) {}
+  /// The sampler tables one Run draws its worlds from: the plain or the
+  /// skip sampler's, whichever the options ask for.
+  struct Tables {
+    void Build(const UncertainGraph& graph, bool use_skip);
+    void Sample(Rng* rng, World* world) const;
+
+    std::optional<PlainWorldSampler> plain;
+    std::optional<SkipWorldSampler> skip;
+  };
+
+  /// Tables of the bound graph, built at most once.
+  struct BoundTables {
+    explicit BoundTables(const UncertainGraph& g) : graph(&g) {}
     const UncertainGraph* graph;
     std::once_flag once;
-    std::optional<SkipWorldSampler> sampler;
+    Tables tables;
   };
 
   SampleEngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;  // Only when num_threads > 0.
-  const SampleEngine* pool_owner_ = nullptr;  // Only for bound engines.
-  std::unique_ptr<BoundSkipTables> bound_;    // Only for bound engines.
+  const SampleEngine* pool_owner_ = nullptr;  // Borrowed pool, if any.
+  std::unique_ptr<BoundTables> bound_;        // Only for bound engines.
 };
 
 }  // namespace ugs

@@ -1,6 +1,7 @@
 #ifndef UGS_QUERY_SHORTEST_PATH_H_
 #define UGS_QUERY_SHORTEST_PATH_H_
 
+#include <span>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
@@ -24,16 +25,33 @@ struct VertexPair {
   VertexId t = 0;
 };
 
-/// BFS hop distances from `source` over one world's compacted adjacency;
-/// dist is resized to |V| and unreachable vertices get kUnreachable.
+/// Scratch of BfsOnWorld, reused across the sources and worlds of a
+/// batch so no search allocates or clears all |V| entries.
+struct BfsScratch {
+  /// Hop distance of each vertex the last search labelled; kUnreachable
+  /// everywhere else.
+  std::vector<int> dist;
+  /// The last search's labelled vertices in visit order: the only
+  /// entries of `dist` the next search resets.
+  std::vector<VertexId> queue;
+  /// Marks the running search's targets; all zero between searches.
+  std::vector<char> is_target;
+};
+
+/// BFS hop distances from `source` over one world's compacted adjacency
+/// into scratch->dist (|V| entries; unreached vertices read
+/// kUnreachable). The search stops as soon as every vertex of `targets`
+/// is labelled: BFS labels each vertex once, at its final level, so the
+/// targets' distances are exact, while vertices beyond them may be left
+/// unlabelled. Empty `targets` searches source's whole component.
 /// Worlds are unweighted (paper assumption), so BFS is the shortest-path
 /// computation. Build the adjacency once per world and reuse it for
 /// every source.
 void BfsOnWorld(const WorldAdjacency& adjacency, VertexId source,
-                std::vector<int>* dist);
+                std::span<const VertexId> targets, BfsScratch* scratch);
 
-/// The same for the world given by the presence flags (builds the
-/// world's adjacency first).
+/// All BFS distances from `source` in the world given by the presence
+/// flags (builds the world's adjacency first); dist is resized to |V|.
 void BfsOnWorld(const UncertainGraph& graph, const std::vector<char>& present,
                 VertexId source, std::vector<int>* dist);
 

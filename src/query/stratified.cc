@@ -91,9 +91,8 @@ double StratifiedEstimate(const UncertainGraph& graph,
         [&factory, &pivots, stratum, r]() -> SampleEngine::WorldStat {
           WorldQuery query = factory();
           return [query = std::move(query), &pivots, stratum, r](World& world) {
-            std::vector<char>& present = world.present();
             for (std::size_t i = 0; i < r; ++i) {
-              present[pivots[i]] = static_cast<char>((stratum >> i) & 1ULL);
+              world.Set(pivots[i], (stratum >> i) & 1ULL);
             }
             world.Compact();
             return query(world);

@@ -1,66 +1,99 @@
 #include "query/world_sampler.h"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
-#include <utility>
 
 namespace ugs {
-namespace {
 
-/// Bit 7 of byte i is set iff flags[i] != 0, for the eight flags at
-/// `flags`.
-std::uint64_t NonzeroBytes(const char* flags) {
-  static_assert(std::endian::native == std::endian::little,
-                "byte i of the loaded word must be flags[i]");
-  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
-  std::uint64_t word = 0;
-  std::memcpy(&word, flags, sizeof(word));
-  return (word | ((word & kLow7) + kLow7)) & ~kLow7;
-}
-
-}  // namespace
-
-World::World(std::vector<char> present) : present_(std::move(present)) {
+World::World(const std::vector<char>& present) {
+  Reset(present.size());
+  for (std::size_t e = 0; e < present.size(); ++e) {
+    words_[e >> 6] |= std::uint64_t{present[e] != 0} << (e & 63);
+  }
   Compact();
 }
 
+void World::Reset(std::size_t num_edges) {
+  num_edges_ = num_edges;
+  words_.assign((num_edges + 63) / 64, 0);
+}
+
 void World::Compact() {
-  const std::size_t m = present_.size();
-  const std::size_t words_end = m - m % 8;
-  const char* flags = present_.data();
-  // Count the present edges eight flags per step, so the list is sized
-  // to them (never to |E|), then emit every id unconditionally and
-  // advance past it only when present: no branch on the flags, so no
-  // misprediction on each word's variable bit count. The one spare slot
-  // takes the store past the last present edge.
+  // Count the present edges first, so the list is sized to them (never
+  // to |E|), then emit each word's set bits in ascending order.
   std::size_t count = 0;
-  for (std::size_t e = 0; e < words_end; e += 8) {
-    count += std::popcount(NonzeroBytes(flags + e));
-  }
-  for (std::size_t e = words_end; e < m; ++e) count += flags[e] != 0;
-  ids_.resize(count + 1);
-  EdgeId* out = ids_.data();
-  std::size_t n = 0;
-  for (std::size_t e = 0; e < m; ++e) {
-    out[n] = static_cast<EdgeId>(e);
-    n += flags[e] != 0;
-  }
+  for (std::uint64_t word : words_) count += std::popcount(word);
   ids_.resize(count);
+  EdgeId* out = ids_.data();
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const EdgeId base = static_cast<EdgeId>(w * 64);
+    for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+      *out++ = base + static_cast<EdgeId>(std::countr_zero(bits));
+    }
+  }
+}
+
+void World::CopyFlags(std::vector<char>* flags) const {
+  flags->resize(num_edges_);
+  char* out = flags->data();
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const std::uint64_t bits = words_[w];
+    const std::size_t count = std::min<std::size_t>(64, num_edges_ - w * 64);
+    for (std::size_t j = 0; j < count; ++j) {
+      out[w * 64 + j] = static_cast<char>((bits >> j) & 1);
+    }
+  }
+}
+
+PlainWorldSampler::PlainWorldSampler(const UncertainGraph& graph)
+    : num_edges_(graph.num_edges()) {
+  // Rng::Bernoulli's partition: p >= 1 is present and p <= 0 absent,
+  // neither drawn; every other p takes one draw. Counted first so each
+  // table is allocated once at its exact size -- a session keeps them
+  // for its lifetime.
+  const std::span<const UncertainEdge> edges = graph.edges();
+  std::size_t num_uncertain = 0, num_certain = 0;
+  for (const UncertainEdge& edge : edges) {
+    num_certain += edge.p >= 1.0;
+    num_uncertain += !(edge.p <= 0.0) && !(edge.p >= 1.0);
+  }
+  uncertain_.resize(num_uncertain);
+  thresholds_.resize(num_uncertain);
+  certain_.resize(num_certain);
+  std::size_t u = 0, c = 0;
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    const double p = edges[e].p;
+    if (p >= 1.0) {
+      certain_[c++] = e;
+    } else if (!(p <= 0.0)) {
+      uncertain_[u] = e;
+      thresholds_[u++] = Rng::DrawThreshold(p);
+    }
+  }
+}
+
+void PlainWorldSampler::Sample(Rng* rng, World* world) const {
+  world->Reset(num_edges_);
+  std::uint64_t* words = world->words().data();
+  for (EdgeId e : certain_) words[e >> 6] |= std::uint64_t{1} << (e & 63);
+  const std::size_t count = uncertain_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const EdgeId e = uncertain_[i];
+    words[e >> 6] |= std::uint64_t{rng->NextBelow(thresholds_[i])}
+                     << (e & 63);
+  }
+  world->Compact();
 }
 
 void SampleWorld(const UncertainGraph& graph, Rng* rng,
                  std::vector<char>* present) {
-  const std::size_t m = graph.num_edges();
-  present->resize(m);
-  const std::span<const UncertainEdge> edges = graph.edges();
-  for (std::size_t e = 0; e < m; ++e) {
-    (*present)[e] = rng->Bernoulli(edges[e].p) ? 1 : 0;
-  }
+  World world;
+  SampleWorld(graph, rng, &world);
+  world.CopyFlags(present);
 }
 
 void SampleWorld(const UncertainGraph& graph, Rng* rng, World* world) {
-  SampleWorld(graph, rng, &world->present());
-  world->Compact();
+  PlainWorldSampler(graph).Sample(rng, world);
 }
 
 void WorldAdjacency::Build(const UncertainGraph& graph, const World& world) {

@@ -45,6 +45,30 @@ class Rng {
     return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
   }
 
+  /// The integer form of `NextDouble() < p`: NextDouble() is k * 2^-53
+  /// with k = Next64() >> 11, and scaling by 2^53 is exact, so
+  /// `NextDouble() < p` holds exactly when k < ceil(p * 2^53). Returns that
+  /// bound, 0 for p <= 0 (or NaN) and 2^53 for p >= 1.
+  static std::uint64_t DrawThreshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    // p * 2^53 is exact for 0 < p < 1 (a power-of-two scale that cannot
+    // overflow, and lifts even subnormals to normals). Below 2^53 the
+    // truncation is its exact floor; the ceil is one more when it has a
+    // fraction. No libm call: sampler tables take this once per edge.
+    // Signed conversions: both directions are single instructions.
+    const double scaled = p * 0x1.0p53;
+    const auto floor = static_cast<std::int64_t>(scaled);
+    return static_cast<std::uint64_t>(floor) +
+           (static_cast<double>(floor) < scaled);
+  }
+
+  /// One draw against a DrawThreshold: the same Next64() and the same
+  /// outcome as `NextDouble() < p`, without the int-to-double conversion.
+  bool NextBelow(std::uint64_t threshold) {
+    return (Next64() >> 11) < threshold;
+  }
+
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 

@@ -1,5 +1,6 @@
 #include "query/graph_session.h"
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -9,6 +10,7 @@
 
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
+#include "query/reliability.h"
 #include "util/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -367,6 +369,49 @@ TEST(GraphSessionTest, SkipEngineSharesThePlainEnginesPool) {
       EXPECT_EQ(result->scalar, first[i].scalar)
           << requests[i].query << " width " << width;
     }
+  }
+}
+
+TEST(GraphSessionTest, ConcurrentFirstPlainRequestsShareOneTable) {
+  // Two threads issue a fresh session's first plain-sampled request at
+  // once, so both reach the lazily built plain-sampler tables together:
+  // they are built once (std::call_once; a second, racing build is what
+  // the ThreadSanitizer leg would report) and both answers equal the
+  // answer of an unbound engine, which builds its own tables per Run.
+  const UncertainGraph g = testing_util::PathGraph(3000, 0.999);
+  QueryRequest request;
+  request.query = "reliability";
+  request.pairs = {{0, 2999}, {10, 400}, {7, 7}};
+  request.num_samples = 64;
+  request.seed = 17;
+  request.estimator = Estimator::kSampled;
+  Rng rng(request.seed);
+  const McSamples expected =
+      McReliability(g, request.pairs, request.num_samples, &rng,
+                    SampleEngine(SampleEngineOptions{.num_threads = 1}));
+  for (int width : {1, 4}) {
+    GraphSessionOptions options;
+    options.engine.num_threads = width;
+    const GraphSession session(g, options);
+    std::atomic<int> waiting{2};
+    Result<QueryResult> results[2] = {Status::Internal("not run"),
+                                      Status::Internal("not run")};
+    std::vector<std::thread> threads;
+    for (Result<QueryResult>& result : results) {
+      threads.emplace_back([&session, &request, &waiting, &result] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) {
+        }
+        result = session.Run(request);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const Result<QueryResult>& result : results) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->estimator, Estimator::kSampled);
+      EXPECT_TRUE(result->samples == expected) << "width " << width;
+    }
+    EXPECT_EQ(results[0]->means, results[1]->means) << "width " << width;
   }
 }
 

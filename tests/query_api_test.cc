@@ -366,7 +366,7 @@ TEST(QueryGoldenTest, StratifiedConnectivityMatchesLegacyAtEveryThreadCount) {
     return [&g, uf](const World& world) {
       uf->Reset();
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (world.present()[e]) uf->Union(g.edge(e).u, g.edge(e).v);
+        if (world.Has(e)) uf->Union(g.edge(e).u, g.edge(e).v);
       }
       return uf->num_components() == 1 ? 1.0 : 0.0;
     };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -87,6 +89,51 @@ TEST(RngTest, BernoulliEdgeCases) {
     EXPECT_FALSE(rng.Bernoulli(-0.5));
     EXPECT_TRUE(rng.Bernoulli(1.5));
   }
+}
+
+TEST(RngTest, DrawThresholdIsNextDoubleBelowP) {
+  // k < DrawThreshold(p) must hold exactly when k * 2^-53 < p, at the
+  // threshold's edges and at the ends of the 53-bit range, for corner
+  // probabilities and for every skip-sampler bucket's ratio p / cap
+  // (ceilings as in query/skip_sampler.cc).
+  const double ps[] = {0.0,
+                       std::numeric_limits<double>::denorm_min(),
+                       0x1.0p-53,
+                       std::nextafter(0x1.0p-53, 1.0),
+                       0.156,
+                       0.5,
+                       std::nextafter(1.0, 0.0),
+                       1.0};
+  const double caps[] = {0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0};
+  std::vector<double> probabilities(std::begin(ps), std::end(ps));
+  for (double p : ps) {
+    for (double cap : caps) {
+      if (p <= cap) probabilities.push_back(p / cap);
+    }
+  }
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  for (double p : probabilities) {
+    const std::uint64_t t = Rng::DrawThreshold(p);
+    ASSERT_LE(t, kTop + 1) << p;
+    for (std::uint64_t k : {std::uint64_t{0}, t - 1, t, t + 1, kTop}) {
+      if (k > kTop) continue;  // t - 1 at t = 0, t + 1 at t = 2^53.
+      EXPECT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < p)
+          << "p = " << p << ", k = " << k;
+    }
+  }
+  EXPECT_EQ(Rng::DrawThreshold(0.0), 0u);
+  EXPECT_EQ(Rng::DrawThreshold(-0.5), 0u);
+  EXPECT_EQ(Rng::DrawThreshold(1.0), kTop + 1);
+  EXPECT_EQ(Rng::DrawThreshold(2.0), kTop + 1);
+}
+
+TEST(RngTest, NextBelowDrawsWhatNextDoubleDraws) {
+  Rng a(77), b(77);
+  for (int i = 0; i < 100000; ++i) {
+    const double p = static_cast<double>(i % 1000) / 999.0;
+    ASSERT_EQ(a.NextBelow(Rng::DrawThreshold(p)), b.NextDouble() < p) << i;
+  }
+  EXPECT_EQ(a.Next64(), b.Next64());
 }
 
 TEST(RngTest, ExponentialMean) {

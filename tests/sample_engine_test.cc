@@ -27,7 +27,9 @@ TEST(SampleEngineTest, FillsEveryRowExactlyOnce) {
         return [](World& world, double* row, char* valid) {
           EXPECT_EQ(valid, nullptr);
           row[0] += 1.0;  // += exposes double-evaluation of a row.
-          row[1] = static_cast<double>(CountPresent(world.present()));
+          std::vector<char> flags;
+          world.CopyFlags(&flags);
+          row[1] = static_cast<double>(CountPresent(flags));
         };
       });
   ASSERT_EQ(out.num_samples, 25u);
@@ -67,7 +69,7 @@ TEST(SampleEngineTest, BatchSizeDoesNotChangeResults) {
                       [&g]() -> SampleEngine::WorldEval {
                         return [&g](World& world, double* row, char*) {
                           for (EdgeId e = 0; e < g.num_edges(); ++e) {
-                            row[e] = world.present()[e] ? 1.0 : 0.0;
+                            row[e] = world.Has(e) ? 1.0 : 0.0;
                           }
                         };
                       })
@@ -107,7 +109,9 @@ TEST(SampleEngineTest, RunMeanAveragesInSampleOrder) {
   double mean = engine.RunMean(
       g, 50, &rng, []() -> SampleEngine::WorldStat {
         return [](World& world) {
-          return static_cast<double>(CountPresent(world.present()));
+          std::vector<char> flags;
+          world.CopyFlags(&flags);
+          return static_cast<double>(CountPresent(flags));
         };
       });
   // E[present edges] = 6 * 0.5 = 3; 50 samples stay well inside [1, 5].
@@ -128,7 +132,7 @@ TEST(SampleEngineTest, SkipSamplerMatchesPlainDistribution) {
         [&g]() -> SampleEngine::WorldEval {
           return [&g](World& world, double* row, char*) {
             for (EdgeId e = 0; e < g.num_edges(); ++e) {
-              row[e] = world.present()[e] ? 1.0 : 0.0;
+              row[e] = world.Has(e) ? 1.0 : 0.0;
             }
           };
         });

@@ -1,5 +1,10 @@
 #include "query/shortest_path.h"
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -47,6 +52,62 @@ TEST(BfsTest, SourceDistanceZero) {
   BfsOnWorld(g, present, 2, &dist);
   EXPECT_EQ(dist[2], 0);
   EXPECT_EQ(dist[0], kUnreachable);
+}
+
+/// A random simple graph on n vertices with `m` edges of probability 0.3.
+UncertainGraph RandomGraph(std::size_t n, std::size_t m, Rng* rng) {
+  std::set<std::pair<VertexId, VertexId>> pairs;
+  while (pairs.size() < m) {
+    const auto u = static_cast<VertexId>(rng->NextIndex(n));
+    const auto v = static_cast<VertexId>(rng->NextIndex(n));
+    if (u != v) pairs.emplace(std::min(u, v), std::max(u, v));
+  }
+  std::vector<UncertainEdge> edges;
+  for (const auto& [u, v] : pairs) edges.push_back({u, v, 0.3});
+  return UncertainGraph::FromEdges(n, std::move(edges));
+}
+
+TEST(BfsTest, TargetBoundedSearchMatchesTheFullSearch) {
+  // One scratch serves every source, world and graph size, as in a
+  // batch: a search stopped at its targets (duplicates and the source
+  // itself included) labels them exactly as the exhaustive search does,
+  // and what it leaves behind never leaks into the next search.
+  Rng rng(21);
+  BfsScratch scratch;
+  for (std::size_t n : {60u, 200u, 60u}) {
+    const UncertainGraph g = RandomGraph(n, 2 * n, &rng);
+    World world;
+    WorldAdjacency adjacency;
+    for (int w = 0; w < 30; ++w) {
+      SampleWorld(g, &rng, &world);
+      adjacency.Build(g, world);
+      for (int q = 0; q < 10; ++q) {
+        const auto source = static_cast<VertexId>(rng.NextIndex(n));
+        std::vector<VertexId> targets;
+        for (std::size_t k = rng.NextIndex(4); k > 0; --k) {
+          targets.push_back(static_cast<VertexId>(rng.NextIndex(n)));
+        }
+        if (q % 3 == 0) targets.push_back(source);
+        if (!targets.empty() && q % 2 == 0) targets.push_back(targets[0]);
+
+        BfsScratch full;
+        BfsOnWorld(adjacency, source, {}, &full);
+        BfsOnWorld(adjacency, source, targets, &scratch);
+        ASSERT_EQ(scratch.dist.size(), n);
+        for (VertexId t : targets) {
+          ASSERT_EQ(scratch.dist[t], full.dist[t])
+              << "n " << n << ", world " << w << ", source " << source
+              << ", target " << t;
+        }
+        // Whatever this search labelled, it labelled at the final level.
+        for (VertexId v = 0; v < n; ++v) {
+          if (scratch.dist[v] != kUnreachable) {
+            ASSERT_EQ(scratch.dist[v], full.dist[v]) << v;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SamplePairsTest, DistinctEndpointsInRange) {

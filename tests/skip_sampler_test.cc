@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,10 +103,50 @@ TEST(FastSamplerTest, EmptyGraph) {
   EXPECT_TRUE(present.empty());
 }
 
+TEST(GeometricSkipTableTest, LookupEqualsTheLogFormula) {
+  // Every geometric bucket's ceiling (query/skip_sampler.cc) and a few
+  // other caps: the table's skip must be the formula's at random draws,
+  // at the smallest and largest draws, around every power of two (where
+  // the guess's exponent changes) and around every tabled step.
+  for (double cap : {0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.005, 0.3, 0.999}) {
+    const GeometricSkipTable table(cap);
+    ASSERT_GT(table.size(), 0u) << "table dropped at cap " << cap;
+    std::vector<std::uint64_t> draws;
+    Rng rng(static_cast<std::uint64_t>(cap * 1e6));
+    for (int i = 0; i < 200000; ++i) draws.push_back(rng.Next64() >> 11);
+    constexpr std::uint64_t kMax = (std::uint64_t{1} << 53) - 1;
+    for (std::uint64_t d = 0; d < 2000; ++d) {
+      draws.push_back(1 + d);
+      draws.push_back(kMax - d);
+    }
+    for (int e = 0; e < 53; ++e) {
+      for (int d = -3; d <= 3; ++d) {
+        draws.push_back((std::uint64_t{1} << e) +
+                        static_cast<std::uint64_t>(d));
+      }
+    }
+    // Step j + 1 is where log(u) / log1p(-cap) crosses j + 1.
+    for (std::size_t j = 0; j <= table.size() + 2; ++j) {
+      const double step = std::exp(static_cast<double>(j + 1) *
+                                   std::log1p(-cap)) *
+                          0x1.0p53;
+      for (int d = -64; d <= 64; ++d) {
+        draws.push_back(static_cast<std::uint64_t>(step) +
+                        static_cast<std::uint64_t>(d));
+      }
+    }
+    for (std::uint64_t m : draws) {
+      if (m == 0 || m > kMax) continue;
+      ASSERT_EQ(table.Skip(m), table.LogSkip(m))
+          << "cap " << cap << ", draw " << m;
+    }
+  }
+}
+
 TEST(FastSamplerTest, ReusedBuffersMatchAFreshWorld) {
-  // Acceptance stores each candidate's flag outright, so the sampler's
-  // zeroing pass is all that clears what an earlier world left: a World
-  // or flag buffer left denser, all ones, or all 0xFF must come out
+  // Acceptance ORs each candidate's bit in, so the sampler's reset is
+  // all that clears what an earlier world left: a World or flag buffer
+  // left denser, all ones, or all 0xFF must come out
   // exactly as a fresh one (so must one sized for a larger graph).
   std::vector<UncertainEdge> edges;
   constexpr double kP[] = {0.0, 0.01, 0.04, 0.08, 0.15, 0.3, 0.5, 0.9, 1.0};
@@ -133,7 +174,9 @@ TEST(FastSamplerTest, ReusedBuffersMatchAFreshWorld) {
     for (World* reused : {&after_dense, &all_ones, &all_ff, &longer}) {
       Rng rng(seed);
       sampler.Sample(&rng, reused);
-      ASSERT_EQ(reused->present(), fresh.present()) << "seed " << seed;
+      ASSERT_EQ(reused->num_edges(), fresh.num_edges()) << "seed " << seed;
+      ASSERT_TRUE(std::ranges::equal(reused->words(), fresh.words()))
+          << "seed " << seed;
       ASSERT_TRUE(std::equal(reused->present_edges().begin(),
                              reused->present_edges().end(),
                              fresh.present_edges().begin(),
@@ -144,7 +187,9 @@ TEST(FastSamplerTest, ReusedBuffersMatchAFreshWorld) {
     std::vector<char> flags(g.num_edges(), static_cast<char>(0xff));
     Rng rng(seed);
     sampler.Sample(&rng, &flags);
-    ASSERT_EQ(flags, fresh.present()) << "seed " << seed;
+    std::vector<char> fresh_flags;
+    fresh.CopyFlags(&fresh_flags);
+    ASSERT_EQ(flags, fresh_flags) << "seed " << seed;
   }
 }
 

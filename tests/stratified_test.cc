@@ -19,7 +19,7 @@ WorldQuery ConnectivityQuery(const UncertainGraph& g) {
   return [&g](const World& world) {
     UnionFind uf(g.num_vertices());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (world.present()[e]) uf.Union(g.edge(e).u, g.edge(e).v);
+      if (world.Has(e)) uf.Union(g.edge(e).u, g.edge(e).v);
     }
     return uf.num_components() == 1 ? 1.0 : 0.0;
   };
@@ -69,7 +69,7 @@ TEST(StratifiedTest, MonteCarloAgreesOnSimpleMean) {
   UncertainGraph g = testing_util::CompleteK4(0.3);
   WorldQuery count = [](const World& world) {
     double c = 0;
-    for (char x : world.present()) c += x;
+    for (EdgeId e = 0; e < world.num_edges(); ++e) c += world.Has(e);
     return c;
   };
   Rng r1(3), r2(4);
@@ -128,8 +128,8 @@ TEST(StratifiedTest, PivotOverwriteRederivesPresentEdges) {
   auto factory = []() -> WorldQuery {
     return [](const World& world) {
       std::vector<EdgeId> expected;
-      for (std::size_t e = 0; e < world.present().size(); ++e) {
-        if (world.present()[e]) expected.push_back(static_cast<EdgeId>(e));
+      for (EdgeId e = 0; e < world.num_edges(); ++e) {
+        if (world.Has(e)) expected.push_back(e);
       }
       return std::ranges::equal(world.present_edges(), expected) ? 1.0 : 0.0;
     };

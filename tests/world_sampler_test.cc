@@ -25,6 +25,20 @@ std::vector<EdgeId> PresentEdges(const World& world) {
   return {world.present_edges().begin(), world.present_edges().end()};
 }
 
+/// The world's presence bits as one byte per edge.
+std::vector<char> Flags(const World& world) {
+  std::vector<char> flags;
+  world.CopyFlags(&flags);
+  return flags;
+}
+
+/// Overwrites a (reused) world's bits with `flags` and compacts it.
+void Overwrite(World* world, const std::vector<char>& flags) {
+  world->Reset(flags.size());
+  for (EdgeId e = 0; e < flags.size(); ++e) world->Set(e, flags[e] != 0);
+  world->Compact();
+}
+
 /// 45 edges of K10 (45 is not a multiple of 8, so the compaction's tail
 /// runs), with probabilities covering p = 0, p = 1 and every skip bucket.
 UncertainGraph MixedGraph() {
@@ -83,8 +97,8 @@ TEST(WorldTest, PresentEdgesAreTheSetFlagsAfterPlainSampling) {
   World world;
   for (int s = 0; s < 200; ++s) {
     SampleWorld(g, &rng, &world);
-    ASSERT_EQ(world.present().size(), g.num_edges());
-    ASSERT_EQ(PresentEdges(world), SetFlags(world.present())) << s;
+    ASSERT_EQ(world.num_edges(), g.num_edges());
+    ASSERT_EQ(PresentEdges(world), SetFlags(Flags(world))) << s;
   }
 }
 
@@ -95,8 +109,8 @@ TEST(WorldTest, PresentEdgesAreTheSetFlagsAfterSkipSampling) {
   World world;
   for (int s = 0; s < 200; ++s) {
     sampler.Sample(&rng, &world);
-    ASSERT_EQ(world.present().size(), g.num_edges());
-    ASSERT_EQ(PresentEdges(world), SetFlags(world.present())) << s;
+    ASSERT_EQ(world.num_edges(), g.num_edges());
+    ASSERT_EQ(PresentEdges(world), SetFlags(Flags(world))) << s;
   }
 }
 
@@ -110,10 +124,10 @@ TEST(WorldTest, WorldFlagsMatchTheFlagOverloads) {
   for (int s = 0; s < 50; ++s) {
     SampleWorld(g, &a, &world);
     SampleWorld(g, &b, &present);
-    ASSERT_EQ(world.present(), present);
+    ASSERT_EQ(Flags(world), present);
     sampler.Sample(&a, &world);
     sampler.Sample(&b, &present);
-    ASSERT_EQ(world.present(), present);
+    ASSERT_EQ(Flags(world), present);
   }
 }
 
@@ -122,14 +136,15 @@ TEST(WorldTest, CompactKeepsEveryNonzeroFlagAtEveryLength) {
   World world;
   for (std::size_t m = 0; m <= 40; ++m) {
     for (int trial = 0; trial < 20; ++trial) {
-      world.present().resize(m);
-      for (char& flag : world.present()) {
+      std::vector<char> flags(m);
+      for (char& flag : flags) {
         // Mostly absent; present flags are 1, or any other nonzero byte.
         const std::uint64_t r = rng.NextIndex(8);
         flag = r < 5 ? 0 : (r == 5 ? 1 : (r == 6 ? 2 : -1));
       }
-      world.Compact();
-      ASSERT_EQ(PresentEdges(world), SetFlags(world.present())) << m;
+      ASSERT_EQ(PresentEdges(World(flags)), SetFlags(flags)) << m;
+      Overwrite(&world, flags);
+      ASSERT_EQ(PresentEdges(world), SetFlags(flags)) << m;
     }
   }
   EXPECT_EQ(PresentEdges(World(std::vector<char>{0, 1, 0, 7})),
@@ -137,22 +152,19 @@ TEST(WorldTest, CompactKeepsEveryNonzeroFlagAtEveryLength) {
 }
 
 TEST(WorldTest, CompactTreatsEveryNonzeroByteAsPresent) {
-  // 0x80 sets only the high bit, which the eight-at-a-time count must
-  // still see; 0xFF is a negative char.
+  // 0x80 sets only the high bit; 0xFF is a negative char.
   for (const char value : {static_cast<char>(0x01), static_cast<char>(0x80),
                            static_cast<char>(0xff)}) {
     for (std::size_t m : {1u, 7u, 8u, 9u, 16u, 45u}) {
-      World world;
-      world.present().assign(m, 0);
-      for (std::size_t e = 0; e < m; e += 3) world.present()[e] = value;
-      world.Compact();
-      ASSERT_EQ(PresentEdges(world), SetFlags(world.present()))
+      std::vector<char> flags(m, 0);
+      for (std::size_t e = 0; e < m; e += 3) flags[e] = value;
+      ASSERT_EQ(PresentEdges(World(flags)), SetFlags(flags))
           << "value " << int{value} << ", length " << m;
-      world.present().assign(m, value);
-      world.Compact();
+      flags.assign(m, value);
+      const World world(flags);
       ASSERT_EQ(world.present_edges().size(), m)
           << "value " << int{value} << ", length " << m;
-      ASSERT_EQ(PresentEdges(world), SetFlags(world.present()));
+      ASSERT_EQ(PresentEdges(world), SetFlags(flags));
     }
   }
 }
@@ -167,16 +179,84 @@ TEST(WorldTest, OneWorldReusedDenseSparseDense) {
   sparse[3] = 1;
   sparse[44] = 1;
   for (const std::vector<char>& flags : {dense, sparse, dense, sparse}) {
-    world.present() = flags;
-    world.Compact();
+    Overwrite(&world, flags);
     ASSERT_EQ(PresentEdges(world), SetFlags(flags));
   }
-  world.present().assign(m, 0);
-  world.Compact();
+  Overwrite(&world, std::vector<char>(m, 0));
   EXPECT_TRUE(world.present_edges().empty());
-  world.present() = dense;
-  world.Compact();
+  Overwrite(&world, dense);
   EXPECT_EQ(PresentEdges(world), SetFlags(dense));
+}
+
+/// The first m edges of K17 (136 edges), cycling through p = 0, p = 1
+/// and every skip bucket.
+UncertainGraph FirstEdgesOfK17(std::size_t m) {
+  constexpr double kP[] = {0.0, 0.01, 0.04, 0.08, 0.15, 0.3, 0.5, 0.9, 1.0};
+  std::vector<UncertainEdge> edges;
+  for (VertexId u = 0; u < 17 && edges.size() < m; ++u) {
+    for (VertexId v = u + 1; v < 17 && edges.size() < m; ++v) {
+      edges.push_back({u, v, kP[edges.size() % 9]});
+    }
+  }
+  return UncertainGraph::FromEdges(17, std::move(edges));
+}
+
+TEST(WorldTest, BitsetWorldsAtWordBoundaries) {
+  // Every sampler leaves no bit set past |E|, lists exactly the set bits,
+  // and a pivot overwrite plus Compact equals a fresh world built from
+  // the overwritten flags.
+  for (std::size_t m : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u}) {
+    const UncertainGraph g = FirstEdgesOfK17(m);
+    ASSERT_EQ(g.num_edges(), m);
+    const PlainWorldSampler plain(g);
+    const SkipWorldSampler skip(g);
+    Rng rng(m + 1);
+    World world;
+    for (int s = 0; s < 40; ++s) {
+      if (s % 2 == 0) {
+        plain.Sample(&rng, &world);
+      } else {
+        skip.Sample(&rng, &world);
+      }
+      ASSERT_EQ(world.num_edges(), m);
+      ASSERT_EQ(world.words().size(), (m + 63) / 64) << m;
+      if (m % 64 != 0) {
+        ASSERT_EQ(world.words().back() >> (m % 64), 0u) << m << ", " << s;
+      }
+      ASSERT_EQ(PresentEdges(world), SetFlags(Flags(world))) << m;
+
+      std::vector<char> expected = Flags(world);
+      for (EdgeId e = s % 3; e < m; e += 5) {
+        const bool on = rng.NextIndex(2) == 1;
+        world.Set(e, on);
+        expected[e] = on;
+      }
+      world.Compact();
+      const World fresh(expected);
+      ASSERT_TRUE(std::ranges::equal(world.words(), fresh.words())) << m;
+      ASSERT_EQ(PresentEdges(world), PresentEdges(fresh)) << m;
+      ASSERT_EQ(PresentEdges(world), SetFlags(expected)) << m;
+    }
+  }
+}
+
+TEST(WorldSamplerTest, PlainSamplerDrawsWhatBernoulliDraws) {
+  // The table sampler must reproduce Rng::Bernoulli(p_e) over every edge
+  // in id order: the same outcomes and the same draws (none for p = 0 or
+  // p = 1), so the streams stay in step.
+  const UncertainGraph g = MixedGraph();
+  const PlainWorldSampler sampler(g);
+  World world;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng a(seed), b(seed);
+    sampler.Sample(&a, &world);
+    std::vector<char> expected(g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      expected[e] = b.Bernoulli(g.edge(e).p) ? 1 : 0;
+    }
+    ASSERT_EQ(Flags(world), expected) << seed;
+    ASSERT_EQ(a.Next64(), b.Next64()) << seed;
+  }
 }
 
 TEST(WorldAdjacencyTest, NeighborsAreThePresentNeighbors) {
@@ -191,7 +271,7 @@ TEST(WorldAdjacencyTest, NeighborsAreThePresentNeighbors) {
     for (VertexId u = 0; u < g.num_vertices(); ++u) {
       std::vector<VertexId> expected;
       for (const AdjacencyEntry& a : g.Neighbors(u)) {
-        if (world.present()[a.edge]) expected.push_back(a.neighbor);
+        if (world.Has(a.edge)) expected.push_back(a.neighbor);
       }
       std::vector<VertexId> got(adjacency.Neighbors(u).begin(),
                                 adjacency.Neighbors(u).end());
